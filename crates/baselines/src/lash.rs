@@ -19,6 +19,7 @@
 //! [`EPSILON`] and never match.
 
 use desq_bsp::Engine;
+use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::{Dictionary, ItemId, Result, Sequence, EPSILON};
 use desq_dist::MiningResult;
 use desq_miner::GapMiner;
@@ -197,7 +198,7 @@ pub(crate) fn lash_impl(
             for p in pivot_items(dict, seq, last_frequent, config.generalize) {
                 if let Some(r) = rewrite(dict, seq, p, last_frequent, &config) {
                     payload.clear();
-                    desq_bsp::encode_item_seq(&r, &mut payload);
+                    encode_item_seq(&r, &mut payload);
                     out.emit(&p, &payload, 1);
                 }
             }
@@ -208,7 +209,7 @@ pub(crate) fn lash_impl(
     let reduce = |&p: &ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
-     -> desq_bsp::Result<()> {
+     -> Result<()> {
         let miner = GapMiner {
             sigma: config.sigma,
             gamma: config.gamma,
@@ -222,7 +223,7 @@ pub(crate) fn lash_impl(
         for &(bytes, w) in inputs {
             let mut slice = bytes;
             let mut seq = Sequence::new();
-            desq_bsp::decode_item_seq(&mut slice, &mut seq)?;
+            decode_item_seq(&mut slice, &mut seq)?;
             decoded.push((seq, w));
         }
         for (pattern, freq) in miner.mine_weighted(&decoded, dict) {
@@ -231,9 +232,7 @@ pub(crate) fn lash_impl(
         Ok(())
     };
 
-    let (patterns, job) = engine
-        .map_combine_reduce(parts, map, reduce)
-        .map_err(crate::from_bsp)?;
+    let (patterns, job) = engine.map_combine_reduce(parts, map, reduce)?;
     let patterns = desq_miner::sort_patterns(patterns);
     let input_sequences: u64 = parts.iter().map(|p| p.len() as u64).sum();
     let metrics = desq_dist::metrics_from_job(

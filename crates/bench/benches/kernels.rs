@@ -8,12 +8,12 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use desq_bsp::Codec;
+use desq_core::fst::nfa::{Nfa, TrieBuilder};
 use desq_core::fst::{candidates, runs, CandidateCounter, FstIndex, Grid, RunScratch, RunWalker};
 use desq_core::fx::FxHashMap;
 use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
 use desq_dist::dcand::merge_pivots;
-use desq_dist::dcand::nfa::{Nfa, TrieBuilder};
 use desq_dist::PivotSearch;
 use desq_miner::{LocalMiner, MinerConfig};
 

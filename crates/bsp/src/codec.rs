@@ -7,19 +7,13 @@
 //! makes frequent items small numbers, which is precisely why the paper's
 //! preprocessing recodes items by frequency).
 //!
-//! The varint and item-sequence primitives ([`write_varint`],
-//! [`read_varint`], [`encode_item_seq`], [`decode_item_seq`]) live in
-//! [`desq_core::codec`] since PR 5 — the flat candidate-counting sink
-//! shares the exact wire format — and are re-exported here for
-//! compatibility. Their decode halves return [`desq_core::Error`], which
-//! converts into [`Error`] via `From` (so `?` keeps working in engine
-//! code).
+//! The [`Codec`] impls are built on the primitives of
+//! [`desq_core::codec`], which the flat candidate-counting sink shares.
 
-use crate::error::{Error, Result};
-
-pub use desq_core::codec::{
-    decode_item_seq, encode_item_seq, read_varint, varint_len, write_varint,
+use desq_core::codec::{
+    read_bytes, read_str, read_u8, read_varint, write_bytes, write_str, write_varint,
 };
+use desq_core::{Error, Result};
 
 /// A type that can be serialized into / deserialized from a shuffle stream.
 pub trait Codec: Sized {
@@ -46,7 +40,7 @@ impl Codec for u64 {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        Ok(read_varint(buf)?)
+        read_varint(buf)
     }
 }
 
@@ -56,11 +50,7 @@ impl Codec for bool {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let (&b, rest) = buf
-            .split_first()
-            .ok_or_else(|| Error::Decode("bool: unexpected end of input".into()))?;
-        *buf = rest;
-        match b {
+        match read_u8(buf)? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(Error::Decode(format!("bool: invalid byte {other}"))),
@@ -95,31 +85,21 @@ impl Codec for Vec<u32> {
 
 impl Codec for Vec<u8> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(buf, self.len() as u64);
-        buf.extend_from_slice(self);
+        write_bytes(buf, self);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let len = read_varint(buf)? as usize;
-        if len > buf.len() {
-            return Err(Error::Decode(format!(
-                "Vec<u8>: length {len} exceeds input"
-            )));
-        }
-        let (head, rest) = buf.split_at(len);
-        *buf = rest;
-        Ok(head.to_vec())
+        Ok(read_bytes(buf)?.to_vec())
     }
 }
 
 impl Codec for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.as_bytes().to_vec().encode(buf);
+        write_str(buf, self);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let bytes = Vec::<u8>::decode(buf)?;
-        String::from_utf8(bytes).map_err(|e| Error::Decode(format!("String: {e}")))
+        Ok(read_str(buf)?.to_string())
     }
 }
 
@@ -200,21 +180,5 @@ mod tests {
         let buf = [7u8];
         let mut s = &buf[..];
         assert!(bool::decode(&mut s).is_err());
-    }
-
-    #[test]
-    fn item_seq_reexports_roundtrip_through_bsp_paths() {
-        // The canonical codec lives in desq-core; the historical desq_bsp
-        // paths must keep encoding byte-identically.
-        let items = [1u32, 1000, 3, 7];
-        let mut via_bsp = Vec::new();
-        encode_item_seq(&items, &mut via_bsp);
-        let mut via_core = Vec::new();
-        desq_core::codec::encode_item_seq(&items, &mut via_core);
-        assert_eq!(via_bsp, via_core);
-        let mut out = Vec::new();
-        let mut s = via_bsp.as_slice();
-        assert_eq!(decode_item_seq(&mut s, &mut out).unwrap(), items.len());
-        assert_eq!(out, items);
     }
 }

@@ -27,11 +27,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crossbeam::deque::{Injector, Stealer, Worker as DequeWorker};
+use desq_core::codec::{read_varint, varint_len, write_varint};
+use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, ProbeTable};
 use desq_core::mining::{panic_message, CancelToken};
+use desq_core::{Error, Result};
 use parking_lot::Mutex;
 
-use crate::codec::{read_varint, varint_len, write_varint, Codec};
-use crate::error::{Error, Result};
+use crate::codec::Codec;
 use crate::metrics::JobMetrics;
 use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
 
@@ -56,13 +58,6 @@ pub struct Engine {
     reducers: usize,
     cancel: Option<CancelToken>,
 }
-
-use desq_core::fx::{mix_hashes as mix, ProbeTable};
-
-// The canonical homes of the byte-hashing primitives are in
-// `desq_core::fx` since PR 5 (the flat candidate-counting sink shares
-// them); these re-exports keep the historical `desq_bsp` paths working.
-pub use desq_core::fx::{bucket_of, hash_bytes};
 
 /// One combined map-side record: its mixed hash, routing bucket, interned
 /// payload id, key bytes (an arena range) and accumulated weight.
@@ -485,10 +480,10 @@ impl Engine {
         self
     }
 
-    /// Polls the attached token (if any), converting its stop reason.
+    /// Polls the attached token (if any), surfacing its stop reason.
     pub(crate) fn checkpoint(&self) -> Result<()> {
         match &self.cancel {
-            Some(token) => token.checkpoint().map_err(Error::from),
+            Some(token) => token.checkpoint(),
             None => Ok(()),
         }
     }
@@ -972,7 +967,7 @@ impl Engine {
         let reducers = self.reducers;
         let on_map = |task: u64| -> Result<MapTaskOut> {
             let part = parts.get(task as usize).ok_or_else(|| {
-                Error::Worker(format!(
+                Error::Invalid(format!(
                     "map task {task} out of range ({} partitions)",
                     parts.len()
                 ))
@@ -1260,11 +1255,11 @@ mod tests {
                     Ok(())
                 },
                 |_k: &u32, _vs: Vec<u32>, _emit: &mut dyn FnMut(u32)| {
-                    Err(Error::Worker("reduce failed".into()))
+                    Err(Error::Invalid("reduce failed".into()))
                 },
             )
             .unwrap_err();
-        assert!(matches!(err, Error::Worker(_)));
+        assert_eq!(err, Error::Invalid("reduce failed".into()));
     }
 
     #[test]
@@ -1292,7 +1287,7 @@ mod tests {
 
     #[test]
     fn bucket_routing_is_stable_and_spread() {
-        // (The in-range and tail-distinction properties of the re-exported
+        // (The in-range and tail-distinction properties of these
         // primitives are tested at their home, `desq_core::fx`.)
         let h = hash_bytes(&42u32.to_le_bytes());
         assert_eq!(bucket_of(h, 8), bucket_of(h, 8));

@@ -27,15 +27,18 @@
 //! ([`JobMetrics::reduce_tasks`] / [`JobMetrics::reduce_steals`]). See
 //! `docs/ARCHITECTURE.md` in the repository root for how the engine fits
 //! into the overall data flow of each distributed algorithm.
+//!
+//! Jobs fail with the workspace error type [`desq_core::Error`]: map and
+//! reduce closures return [`desq_core::Result`], and an error a closure
+//! returns reaches the caller unchanged, in-process or across a networked
+//! shuffle link.
 
 pub mod codec;
 pub mod engine;
-pub mod error;
 pub mod metrics;
 pub mod transport;
 
-pub use codec::{decode_item_seq, encode_item_seq, read_varint, write_varint, Codec};
-pub use engine::{bucket_of, hash_bytes, Combiner, Engine, MapTaskOut};
-pub use error::{Error, Result};
+pub use codec::Codec;
+pub use engine::{Combiner, Engine, MapTaskOut};
 pub use metrics::JobMetrics;
 pub use transport::{InProcess, NetConfig, NetCoordinator, PhaseStats, ShuffleTransport};

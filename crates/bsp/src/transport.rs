@@ -11,10 +11,13 @@
 //!
 //! # Wire protocol
 //!
-//! Frames are length-prefixed like the `desq-serve` protocol:
-//! `varint(payload_len) payload`, payload = tag byte + fields in the
-//! `desq_core::codec` varint format. Lengths are validated against a
-//! configurable cap *before* any allocation. A connection starts with the
+//! Frames use the shared [`desq_core::frame`] layer, like the
+//! `desq-serve` protocol: `varint(payload_len) payload`, payload = tag
+//! byte + fields in the `desq_core::codec` varint format. Lengths are
+//! validated against [`NET_MAX_FRAME_LEN`] *before* any allocation. A
+//! [`Frame::TaskErr`] carries its [`Error`] through the shared error table
+//! ([`desq_core::frame::encode_error`]), so a task's error reaches the
+//! coordinator variant-exactly. A connection starts with the
 //! worker's [`Frame::Hello`] carrying the protocol version and a job
 //! fingerprint; the coordinator silently drops incompatible peers (the
 //! worker sees the close, reconnects, and eventually reports
@@ -55,17 +58,23 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use desq_core::codec::{read_bytes, read_u8, read_varint, write_bytes, write_varint};
+use desq_core::frame::{decode_error, encode_error, frame_bytes, read_frame};
 use desq_core::mining::panic_message;
 use desq_core::retry::RetryPolicy;
+use desq_core::{Error, Result};
 use parking_lot::Mutex;
 
-use crate::codec::{read_varint, write_varint};
 use crate::engine::{Engine, MapTaskOut};
-use crate::error::{Error, Result};
 
 /// Version byte of the shuffle wire protocol. Bump on any frame layout
 /// change; the coordinator rejects mismatched workers at the handshake.
-pub const NET_PROTOCOL_VERSION: u8 = 1;
+/// (v2 moved `TaskErr` onto the shared [`desq_core::frame`] error table.)
+pub const NET_PROTOCOL_VERSION: u8 = 2;
+
+/// Upper bound on one shuffle frame's payload (64 MiB), enforced before
+/// allocation on reads and before transmission on writes.
+pub const NET_MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Robustness counters of one transport phase, merged into
 /// [`JobMetrics`](crate::JobMetrics) by the engine.
@@ -196,23 +205,6 @@ pub enum Frame {
     End,
 }
 
-fn write_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    write_varint(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
-fn read_bytes(s: &mut &[u8]) -> Result<Vec<u8>> {
-    let len = read_varint(s)? as usize;
-    if len > s.len() {
-        return Err(Error::Decode(format!(
-            "byte string: length {len} exceeds input"
-        )));
-    }
-    let (head, rest) = s.split_at(len);
-    *s = rest;
-    Ok(head.to_vec())
-}
-
 fn write_byte_list(buf: &mut Vec<u8>, list: &[Vec<u8>]) {
     write_varint(buf, list.len() as u64);
     for b in list {
@@ -227,49 +219,9 @@ fn read_byte_list(s: &mut &[u8]) -> Result<Vec<Vec<u8>>> {
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(read_bytes(s)?);
+        out.push(read_bytes(s)?.to_vec());
     }
     Ok(out)
-}
-
-fn take_u8(s: &mut &[u8]) -> Result<u8> {
-    let (&b, rest) = s
-        .split_first()
-        .ok_or_else(|| Error::Decode("frame: unexpected end of input".into()))?;
-    *s = rest;
-    Ok(b)
-}
-
-fn write_error(buf: &mut Vec<u8>, e: &Error) {
-    let (kind, msg) = match e {
-        Error::Decode(m) => (0u8, m),
-        Error::ResourceExhausted(m) => (1, m),
-        Error::DeadlineExceeded(m) => (2, m),
-        Error::Cancelled(m) => (3, m),
-        Error::WorkerPanicked(m) => (4, m),
-        Error::Worker(m) => (5, m),
-        Error::PeerUnreachable(m) => (6, m),
-        Error::PeerTimedOut(m) => (7, m),
-    };
-    buf.push(kind);
-    write_bytes(buf, msg.as_bytes());
-}
-
-fn read_error(s: &mut &[u8]) -> Result<Error> {
-    let kind = take_u8(s)?;
-    let msg = String::from_utf8(read_bytes(s)?)
-        .map_err(|_| Error::Decode("error message is not UTF-8".into()))?;
-    Ok(match kind {
-        0 => Error::Decode(msg),
-        1 => Error::ResourceExhausted(msg),
-        2 => Error::DeadlineExceeded(msg),
-        3 => Error::Cancelled(msg),
-        4 => Error::WorkerPanicked(msg),
-        5 => Error::Worker(msg),
-        6 => Error::PeerUnreachable(msg),
-        7 => Error::PeerTimedOut(msg),
-        k => return Err(Error::Decode(format!("unknown error kind {k}"))),
-    })
 }
 
 impl Frame {
@@ -334,7 +286,7 @@ impl Frame {
                 buf.push(7);
                 write_varint(buf, *epoch);
                 write_varint(buf, *task);
-                write_error(buf, error);
+                encode_error(error, buf);
             }
             Frame::End => buf.push(8),
         }
@@ -343,10 +295,10 @@ impl Frame {
     /// Decodes one frame payload, rejecting trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Frame> {
         let mut s = payload;
-        let tag = take_u8(&mut s)?;
+        let tag = read_u8(&mut s)?;
         let frame = match tag {
             1 => Frame::Hello {
-                version: take_u8(&mut s)?,
+                version: read_u8(&mut s)?,
                 fingerprint: read_varint(&mut s)?,
             },
             2 => Frame::Heartbeat,
@@ -372,12 +324,12 @@ impl Frame {
                 epoch: read_varint(&mut s)?,
                 task: read_varint(&mut s)?,
                 task_nanos: read_varint(&mut s)?,
-                out: read_bytes(&mut s)?,
+                out: read_bytes(&mut s)?.to_vec(),
             },
             7 => Frame::TaskErr {
                 epoch: read_varint(&mut s)?,
                 task: read_varint(&mut s)?,
-                error: read_error(&mut s)?,
+                error: decode_error(&mut s)?,
             },
             8 => Frame::End,
             t => return Err(Error::Decode(format!("unknown frame tag {t}"))),
@@ -392,20 +344,11 @@ impl Frame {
     }
 
     /// Full wire bytes: `varint(payload_len) payload`. Fails (without
-    /// sending anything) when the payload exceeds `max_frame`.
-    fn to_wire(&self, max_frame: usize) -> io::Result<Vec<u8>> {
+    /// sending anything) when the payload exceeds [`NET_MAX_FRAME_LEN`].
+    fn to_wire(&self) -> io::Result<Vec<u8>> {
         let mut payload = Vec::new();
         self.encode(&mut payload);
-        if payload.len() > max_frame {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame payload {} exceeds cap {max_frame}", payload.len()),
-            ));
-        }
-        let mut wire = Vec::with_capacity(payload.len() + 10);
-        write_varint(&mut wire, payload.len() as u64);
-        wire.extend_from_slice(&payload);
-        Ok(wire)
+        frame_bytes(&payload, NET_MAX_FRAME_LEN)
     }
 }
 
@@ -421,40 +364,18 @@ fn send_wire<W: Write>(w: &mut W, wire: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Writes one length-prefixed frame.
-pub fn write_net_frame<W: Write>(w: &mut W, frame: &Frame, max_frame: usize) -> io::Result<()> {
-    let wire = frame.to_wire(max_frame)?;
-    send_wire(w, &wire)
+/// Writes one length-prefixed frame whose payload is at most `cap` bytes
+/// (links use [`NET_MAX_FRAME_LEN`]).
+pub fn write_net_frame<W: Write>(w: &mut W, frame: &Frame, cap: usize) -> io::Result<()> {
+    let mut payload = Vec::new();
+    frame.encode(&mut payload);
+    send_wire(w, &frame_bytes(&payload, cap)?)
 }
 
-/// Reads one length-prefixed frame, rejecting oversized or overlong
+/// Reads one length-prefixed frame, rejecting malformed or above-`cap`
 /// length prefixes *before* allocating the payload buffer.
-pub fn read_net_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Frame> {
-    let mut len: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        if shift >= 64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame length varint overflows u64",
-            ));
-        }
-        len |= u64::from(b[0] & 0x7F) << shift;
-        if b[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    if len > max_frame as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {max_frame}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+pub fn read_net_frame<R: Read>(r: &mut R, cap: usize) -> io::Result<Frame> {
+    let payload = read_frame(r, cap)?;
     Frame::decode(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
@@ -472,9 +393,6 @@ pub struct NetConfig {
     pub heartbeat: Duration,
     /// Reconnect schedule and budget for workers.
     pub retry: RetryPolicy,
-    /// Hard cap on a single frame's payload bytes, enforced before
-    /// allocation on reads and before transmission on writes.
-    pub max_frame: usize,
     /// How long the coordinator tolerates *zero* live workers before
     /// failing the job with [`Error::PeerUnreachable`].
     pub peer_wait: Duration,
@@ -490,7 +408,6 @@ impl Default for NetConfig {
             liveness: Duration::from_secs(2),
             heartbeat: Duration::from_millis(500),
             retry: RetryPolicy::default(),
-            max_frame: 64 << 20,
             peer_wait: Duration::from_secs(10),
             fingerprint: 0,
         }
@@ -604,8 +521,8 @@ impl NetCoordinator {
                         peers.len() - 1
                     };
                     let tx = self.tx.clone();
-                    let (liveness, max_frame) = (self.cfg.liveness, self.cfg.max_frame);
-                    thread::spawn(move || reader_loop(id, rstream, liveness, max_frame, tx));
+                    let liveness = self.cfg.liveness;
+                    thread::spawn(move || reader_loop(id, rstream, liveness, tx));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -654,7 +571,7 @@ impl NetCoordinator {
         queue: &mut VecDeque<u64>,
         stats: &mut PhaseStats,
     ) {
-        let Ok(hb) = Frame::Heartbeat.to_wire(self.cfg.max_frame) else {
+        let Ok(hb) = Frame::Heartbeat.to_wire() else {
             return;
         };
         let mut peers = self.peers.lock();
@@ -755,7 +672,7 @@ impl NetCoordinator {
         let n = task_frames.len();
         let mut wire: Vec<Vec<u8>> = Vec::with_capacity(n);
         for f in task_frames {
-            wire.push(f.to_wire(self.cfg.max_frame).map_err(|e| {
+            wire.push(f.to_wire().map_err(|e| {
                 Error::ResourceExhausted(format!("task frame exceeds the frame cap: {e}"))
             })?);
         }
@@ -819,7 +736,7 @@ impl NetCoordinator {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        let Ok(end) = Frame::End.to_wire(self.cfg.max_frame) else {
+        let Ok(end) = Frame::End.to_wire() else {
             return;
         };
         let mut peers = self.peers.lock();
@@ -911,17 +828,11 @@ impl ShuffleTransport for NetCoordinator {
     }
 }
 
-fn reader_loop(
-    peer: usize,
-    stream: TcpStream,
-    liveness: Duration,
-    max_frame: usize,
-    tx: Sender<Event>,
-) {
+fn reader_loop(peer: usize, stream: TcpStream, liveness: Duration, tx: Sender<Event>) {
     let _ = stream.set_read_timeout(Some(liveness));
     let mut r = BufReader::new(stream);
     loop {
-        match read_net_frame(&mut r, max_frame) {
+        match read_net_frame(&mut r, NET_MAX_FRAME_LEN) {
             Ok(frame) => {
                 if tx.send(Event::Frame { peer, frame }).is_err() {
                     return;
@@ -941,12 +852,8 @@ fn reader_loop(
 
 // ---------------------------------------------------------------- worker
 
-fn write_frame_locked(
-    writer: &Mutex<TcpStream>,
-    frame: &Frame,
-    max_frame: usize,
-) -> io::Result<()> {
-    let wire = frame.to_wire(max_frame)?;
+fn write_frame_locked(writer: &Mutex<TcpStream>, frame: &Frame) -> io::Result<()> {
+    let wire = frame.to_wire()?;
     send_wire(&mut *writer.lock(), &wire)
 }
 
@@ -970,7 +877,6 @@ fn serve_coordinator(
             version: NET_PROTOCOL_VERSION,
             fingerprint: cfg.fingerprint,
         },
-        cfg.max_frame,
     )?;
 
     // Heartbeats come from a dedicated thread over the shared writer so a
@@ -979,7 +885,7 @@ fn serve_coordinator(
     let hb_thread = {
         let writer = Arc::clone(&writer);
         let stop = Arc::clone(&stop);
-        let (interval, max_frame) = (cfg.heartbeat, cfg.max_frame);
+        let interval = cfg.heartbeat;
         thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 thread::sleep(interval);
@@ -990,7 +896,7 @@ fn serve_coordinator(
                 if desq_core::fault::point("net::heartbeat").is_err() {
                     continue; // suppressed heartbeat, not a dead link
                 }
-                if write_frame_locked(&writer, &Frame::Heartbeat, max_frame).is_err() {
+                if write_frame_locked(&writer, &Frame::Heartbeat).is_err() {
                     return; // the main loop will notice the broken link
                 }
             }
@@ -999,7 +905,7 @@ fn serve_coordinator(
 
     let outcome = (|| -> io::Result<()> {
         loop {
-            let reply = match read_net_frame(&mut reader, cfg.max_frame)? {
+            let reply = match read_net_frame(&mut reader, NET_MAX_FRAME_LEN)? {
                 Frame::MapTask { epoch, task } => {
                     let started = Instant::now();
                     let run = catch_unwind(AssertUnwindSafe(|| on_map(task)))
@@ -1044,7 +950,7 @@ fn serve_coordinator(
                     ))
                 }
             };
-            write_frame_locked(&writer, &reply, cfg.max_frame)?;
+            write_frame_locked(&writer, &reply)?;
         }
     })();
     stop.store(true, Ordering::SeqCst);
@@ -1130,12 +1036,18 @@ mod tests {
             out: vec![1, 0, 255],
         });
         for error in [
+            Error::Parse {
+                msg: "unexpected ')'".into(),
+                pos: 4,
+            },
+            Error::UnknownItem("VRB".into()),
+            Error::CyclicHierarchy("a".into()),
             Error::Decode("bad".into()),
             Error::ResourceExhausted("mem".into()),
+            Error::Invalid("other".into()),
             Error::DeadlineExceeded("2s".into()),
             Error::Cancelled("drain".into()),
             Error::WorkerPanicked("boom".into()),
-            Error::Worker("other".into()),
             Error::PeerUnreachable("10.0.0.1:1".into()),
             Error::PeerTimedOut("w3".into()),
         ] {

@@ -4,7 +4,8 @@
 //! prefixes are refused before the payload buffer is allocated.
 
 use desq_bsp::transport::{read_net_frame, write_net_frame, Frame, NET_PROTOCOL_VERSION};
-use desq_bsp::Error;
+use desq_core::codec::write_varint;
+use desq_core::Error;
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -45,16 +46,22 @@ fn any_string() -> impl Strategy<Value = String> {
     .prop_map(|chars| chars.into_iter().collect())
 }
 
-/// All eight wire error kinds.
+/// All eleven wire error kinds of the shared table.
 fn any_error() -> impl Strategy<Value = Error> {
-    (0u8..8, any_string()).prop_map(|(kind, msg)| match kind {
-        0 => Error::Decode(msg),
-        1 => Error::ResourceExhausted(msg),
-        2 => Error::DeadlineExceeded(msg),
-        3 => Error::Cancelled(msg),
-        4 => Error::WorkerPanicked(msg),
-        5 => Error::Worker(msg),
-        6 => Error::PeerUnreachable(msg),
+    (0u8..11, any_string(), any_u64()).prop_map(|(kind, msg, pos)| match kind {
+        0 => Error::Parse {
+            msg,
+            pos: pos as usize,
+        },
+        1 => Error::UnknownItem(msg),
+        2 => Error::CyclicHierarchy(msg),
+        3 => Error::ResourceExhausted(msg),
+        4 => Error::Decode(msg),
+        5 => Error::Invalid(msg),
+        6 => Error::DeadlineExceeded(msg),
+        7 => Error::Cancelled(msg),
+        8 => Error::WorkerPanicked(msg),
+        9 => Error::PeerUnreachable(msg),
         _ => Error::PeerTimedOut(msg),
     })
 }
@@ -156,21 +163,33 @@ proptest! {
     #[test]
     fn oversized_length_prefixes_are_rejected(len in MAX_FRAME as u64 + 1..=u64::MAX) {
         let mut wire = Vec::new();
-        desq_bsp::write_varint(&mut wire, len);
+        write_varint(&mut wire, len);
         wire.extend_from_slice(&[0u8; 64]); // even with bytes behind it
         let err = read_net_frame(&mut wire.as_slice(), MAX_FRAME)
             .expect_err("oversized length must error");
         prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
-    /// A length varint longer than ten groups (shift ≥ 64) is an overflow
-    /// error, not a silent wrap.
+    /// A length varint longer than ten groups (shift ≥ 64), or a ten-byte
+    /// one whose last byte sets bits above 2^64, is an overflow error, not
+    /// a silent wrap (`[0x80 ×9, 0x02]` must not read as length 0).
     #[test]
-    fn overlong_length_varints_are_rejected(fill in 0u8..0x80) {
+    fn overlong_length_varints_are_rejected(
+        fill in 0u8..0x80,
+        low in collection::vec(0x80u8..=0xFF, 9..10),
+        last in 0x02u8..0x80,
+    ) {
         let mut wire = vec![0xFFu8; 10];
         wire.push(fill | 0x01); // terminate the varint after >64 bits
         let err = read_net_frame(&mut wire.as_slice(), MAX_FRAME)
             .expect_err("overlong varint must error");
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        let mut wire = low;
+        wire.push(last);
+        wire.extend_from_slice(&[0u8; 64]);
+        let err = read_net_frame(&mut wire.as_slice(), usize::MAX)
+            .expect_err("overflowing varint must error");
         prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 

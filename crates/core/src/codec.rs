@@ -10,11 +10,10 @@
 //! varints make that compactness pay off on the wire and in interned count
 //! tables.
 //!
-//! These functions originally lived in `desq_bsp::codec`; they moved here
-//! in PR 5 so the candidate-counting sink (which encodes each candidate
-//! once and counts interned byte keys) can share the exact shuffle format
-//! without a dependency on the engine crate. `desq_bsp::codec` re-exports
-//! them, so existing paths keep working.
+//! [`read_varint`] is strict: it rejects encodings longer than ten bytes
+//! and a tenth byte carrying bits above `2^64`, so no two byte strings it
+//! accepts decode to the same value by silently dropping bits. The frame
+//! layer ([`crate::frame`]) decodes length prefixes with it as well.
 
 use crate::error::{Error, Result};
 
@@ -32,7 +31,8 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Decodes a LEB128 varint, advancing `buf`.
+/// Decodes a LEB128 varint, advancing `buf`. Rejects truncated input and
+/// encodings that overflow a `u64` (see the module docs).
 #[inline]
 pub fn read_varint(buf: &mut &[u8]) -> Result<u64> {
     let mut v = 0u64;
@@ -42,7 +42,9 @@ pub fn read_varint(buf: &mut &[u8]) -> Result<u64> {
             .split_first()
             .ok_or_else(|| Error::Decode("varint: unexpected end of input".into()))?;
         *buf = rest;
-        if shift >= 64 {
+        // The tenth byte holds bit 63 alone: anything above 0x01 either
+        // sets bits beyond 2^64 or continues into an eleventh byte.
+        if shift == 63 && byte > 1 {
             return Err(Error::Decode("varint: overflow".into()));
         }
         v |= u64::from(byte & 0x7f) << shift;
@@ -51,6 +53,16 @@ pub fn read_varint(buf: &mut &[u8]) -> Result<u64> {
         }
         shift += 7;
     }
+}
+
+/// Decodes one byte, advancing `buf`.
+#[inline]
+pub fn read_u8(buf: &mut &[u8]) -> Result<u8> {
+    let (&byte, rest) = buf
+        .split_first()
+        .ok_or_else(|| Error::Decode("byte: unexpected end of input".into()))?;
+    *buf = rest;
+    Ok(byte)
 }
 
 /// Appends a length-prefixed byte string: `varint(len)` followed by the
@@ -245,6 +257,21 @@ mod tests {
         let buf = [0xffu8; 11];
         let mut s = &buf[..];
         assert!(read_varint(&mut s).is_err());
+        // A ten-byte encoding whose last byte sets bits above 2^64 is an
+        // error, never a value with those bits dropped.
+        for last in [0x02u8, 0x7f] {
+            for fill in [0x80u8, 0xff] {
+                let buf = [[fill; 9].as_slice(), &[last]].concat();
+                let mut s = buf.as_slice();
+                assert!(
+                    matches!(read_varint(&mut s), Err(Error::Decode(_))),
+                    "{buf:x?}"
+                );
+            }
+        }
+        // The largest legal tenth byte is 0x01.
+        let buf = [[0xffu8; 9].as_slice(), &[0x01]].concat();
+        assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), u64::MAX);
     }
 
     fn item_seq_roundtrip(items: &[u32]) {

@@ -1,9 +1,8 @@
 //! Tries and NFAs over *output item sets* — D-CAND's compact candidate
 //! representation (Sec. VI-A of the paper), hoisted from `desq_dist` so the
 //! FST optimizer's suffix-sharing pass and D-CAND's byte-serialized NFAs
-//! share one minimization implementation (the [`minim`](super::minim)
-//! signature-hashing machinery; `desq_dist::dcand::nfa` re-exports this
-//! module for compatibility, mirroring the PR-5 `fx`/`codec` hoist).
+//! share one minimization implementation (the `fst::minim`
+//! signature-hashing machinery).
 //!
 //! A path through the automaton is a sequence of transitions, each labelled
 //! with a non-empty set of items; the automaton *represents* every item

@@ -53,6 +53,7 @@ pub mod dictionary;
 pub mod error;
 #[cfg(feature = "failpoints")]
 pub mod fault;
+pub mod frame;
 pub mod fst;
 pub mod fx;
 pub mod mining;

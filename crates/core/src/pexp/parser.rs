@@ -8,10 +8,25 @@
 //! concat  := postfix+
 //! alt     := concat ('|' concat)*
 //! ```
+//!
+//! Nesting — groups open at once, and the height of the parsed tree
+//! counted in capture groups and postfix operators — is capped at
+//! [`MAX_NESTING`] levels.
 
 use super::lexer::{Lexer, Token};
 use super::PatEx;
 use crate::error::{Error, Result};
+
+/// Deepest nesting the parser accepts: at most this many groups open at
+/// once, and at most this many capture groups and postfix operators on
+/// any root-to-leaf path of the tree. Parsing, compiling, printing and
+/// dropping a [`PatEx`] each recurse once per level, so unbounded nesting
+/// lets one hostile expression (say, 100 000 nested parentheses, or
+/// `[a*]**` stacked level upon level) overflow the stack — an abort that
+/// `catch_unwind` cannot contain. Each concatenation or alternation node
+/// on a path is the body of a distinct enclosing group (or the whole
+/// expression), so the tree is at most about three times this deep.
+pub const MAX_NESTING: usize = 256;
 
 pub(super) fn parse(input: &str) -> Result<PatEx> {
     let tokens = Lexer::new(input).tokenize()?;
@@ -19,8 +34,9 @@ pub(super) fn parse(input: &str) -> Result<PatEx> {
         tokens,
         pos: 0,
         input_len: input.len(),
+        open: 0,
     };
-    let e = p.alt()?;
+    let (e, _) = p.alt()?;
     if let Some((tok, at)) = p.peek_with_pos() {
         return Err(Error::Parse {
             msg: format!("unexpected {tok:?}"),
@@ -30,10 +46,32 @@ pub(super) fn parse(input: &str) -> Result<PatEx> {
     Ok(e)
 }
 
+/// Height of a subtree wrapped by the capture group or operator at byte
+/// `at`.
+fn wrap(height: usize, at: usize) -> Result<usize> {
+    if height == MAX_NESTING {
+        return Err(too_deep(at));
+    }
+    Ok(height + 1)
+}
+
+fn too_deep(at: usize) -> Error {
+    Error::Parse {
+        msg: format!("nesting deeper than {MAX_NESTING} levels"),
+        pos: at,
+    }
+}
+
+/// Each parsing method returns its subtree with the subtree's height
+/// (see [`MAX_NESTING`]).
 struct Parser {
     tokens: Vec<(Token, usize)>,
     pos: usize,
     input_len: usize,
+    /// Groups opened and not yet closed. Bounded separately from the
+    /// height, which is known only once a group closes, because the
+    /// parser itself recurses once per open group.
+    open: usize,
 }
 
 impl Parser {
@@ -73,29 +111,37 @@ impl Parser {
         }
     }
 
-    fn alt(&mut self) -> Result<PatEx> {
-        let mut branches = vec![self.concat()?];
+    fn alt(&mut self) -> Result<(PatEx, usize)> {
+        let (first, mut height) = self.concat()?;
+        let mut branches = vec![first];
         while matches!(self.peek(), Some(Token::Pipe)) {
             self.bump();
-            branches.push(self.concat()?);
+            let (b, h) = self.concat()?;
+            branches.push(b);
+            height = height.max(h);
         }
-        Ok(if branches.len() == 1 {
+        let e = if branches.len() == 1 {
             branches.pop().unwrap()
         } else {
             PatEx::Alt(branches)
-        })
+        };
+        Ok((e, height))
     }
 
-    fn concat(&mut self) -> Result<PatEx> {
-        let mut factors = vec![self.postfix()?];
+    fn concat(&mut self) -> Result<(PatEx, usize)> {
+        let (first, mut height) = self.postfix()?;
+        let mut factors = vec![first];
         while self.starts_primary() {
-            factors.push(self.postfix()?);
+            let (f, h) = self.postfix()?;
+            factors.push(f);
+            height = height.max(h);
         }
-        Ok(if factors.len() == 1 {
+        let e = if factors.len() == 1 {
             factors.pop().unwrap()
         } else {
             PatEx::Concat(factors)
-        })
+        };
+        Ok((e, height))
     }
 
     fn starts_primary(&self) -> bool {
@@ -105,36 +151,37 @@ impl Parser {
         )
     }
 
-    fn postfix(&mut self) -> Result<PatEx> {
-        let mut e = self.primary()?;
+    fn postfix(&mut self) -> Result<(PatEx, usize)> {
+        let (mut e, mut height) = self.primary()?;
         loop {
-            match self.peek() {
+            let at = self.here();
+            e = match self.peek() {
                 Some(Token::Star) => {
                     self.bump();
-                    e = PatEx::Star(Box::new(e));
+                    PatEx::Star(Box::new(e))
                 }
                 Some(Token::Plus) => {
                     self.bump();
-                    e = PatEx::Plus(Box::new(e));
+                    PatEx::Plus(Box::new(e))
                 }
                 Some(Token::Question) => {
                     self.bump();
-                    e = PatEx::Optional(Box::new(e));
+                    PatEx::Optional(Box::new(e))
                 }
                 Some(Token::LBrace) => {
-                    let at = self.here();
                     self.bump();
                     let (min, max) = self.bounds(at)?;
-                    e = PatEx::Range {
+                    PatEx::Range {
                         inner: Box::new(e),
                         min,
                         max,
-                    };
+                    }
                 }
                 _ => break,
-            }
+            };
+            height = wrap(height, at)?;
         }
-        Ok(e)
+        Ok((e, height))
     }
 
     /// Parses `n`, `n,`, `n,m` or `,m` followed by `}`.
@@ -189,7 +236,7 @@ impl Parser {
         Ok((min, max))
     }
 
-    fn primary(&mut self) -> Result<PatEx> {
+    fn primary(&mut self) -> Result<(PatEx, usize)> {
         let at = self.here();
         match self.bump() {
             Some(Token::Dot) => {
@@ -200,28 +247,35 @@ impl Parser {
                         pos: at,
                     });
                 }
-                Ok(PatEx::Dot { up })
+                Ok((PatEx::Dot { up }, 0))
             }
             Some(Token::Ident(name)) => {
                 let up = self.eat_up();
                 let exact = self.eat_eq();
-                Ok(PatEx::Item { name, exact, up })
+                Ok((PatEx::Item { name, exact, up }, 0))
             }
             Some(Token::LParen) => {
-                let inner = self.alt()?;
-                self.expect(&Token::RParen)?;
-                Ok(PatEx::Capture(Box::new(inner)))
+                let (inner, height) = self.group(at, &Token::RParen)?;
+                Ok((PatEx::Capture(Box::new(inner)), wrap(height, at)?))
             }
-            Some(Token::LBracket) => {
-                let inner = self.alt()?;
-                self.expect(&Token::RBracket)?;
-                Ok(inner)
-            }
+            Some(Token::LBracket) => self.group(at, &Token::RBracket),
             other => Err(Error::Parse {
                 msg: format!("expected item, '.', '(' or '[', found {other:?}"),
                 pos: at,
             }),
         }
+    }
+
+    /// Parses the body of the group opened at byte `at` up to `close`.
+    fn group(&mut self, at: usize, close: &Token) -> Result<(PatEx, usize)> {
+        if self.open == MAX_NESTING {
+            return Err(too_deep(at));
+        }
+        self.open += 1;
+        let (inner, height) = self.alt()?;
+        self.expect(close)?;
+        self.open -= 1;
+        Ok((inner, height))
     }
 
     fn eat_up(&mut self) -> bool {
@@ -246,6 +300,8 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::super::PatEx;
+    use super::MAX_NESTING;
+    use crate::Error;
 
     #[test]
     fn capture_groups_versus_brackets() {
@@ -304,5 +360,104 @@ mod tests {
             s.push(']');
         }
         assert!(PatEx::parse(&s).is_ok());
+    }
+
+    /// Runs `f` on a 2 MiB thread: the default for spawned threads, and
+    /// so for a server's connection threads.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    /// 100 000 nested parentheses must not overflow the stack (an abort
+    /// `catch_unwind` cannot contain): they are a parse error at the first
+    /// group past the limit.
+    #[test]
+    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let depth = 100_000;
+        let s = format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        match on_small_stack(move || PatEx::parse(&s).unwrap_err()) {
+            Error::Parse { pos, msg } => {
+                assert_eq!(pos, MAX_NESTING, "{msg}");
+                assert!(msg.contains("nesting"), "{msg}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Never more than MAX_NESTING groups open at once, but operators
+        // stacked inside and after each group: `[`×255, `a`, then per
+        // closing level d a run of 256−d `*` and a `]` — a tree about
+        // 33 000 levels high if the operators went uncounted.
+        let mut s = "[".repeat(MAX_NESTING - 1) + "a";
+        for d in (1..MAX_NESTING).rev() {
+            s += &"*".repeat(MAX_NESTING - d);
+            s.push(']');
+        }
+        match on_small_stack(move || PatEx::parse(&s).unwrap_err()) {
+            Error::Parse { msg, .. } => assert!(msg.contains("nesting"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The deepest trees the parser accepts — each counted level also
+    /// carrying an alternation and a concatenation node — parse, compile,
+    /// print and drop on a 2 MiB stack.
+    #[test]
+    fn deepest_accepted_trees_compile_on_a_small_stack() {
+        let mut groups = "a1".to_string();
+        for _ in 0..MAX_NESTING {
+            groups = format!("(a1|b {groups})");
+        }
+        let stars = format!("[a1 b]{}", "*".repeat(MAX_NESTING - 1));
+        on_small_stack(move || {
+            let fx = crate::toy::fixture();
+            for s in [groups, stars] {
+                let e = PatEx::parse(&s).unwrap();
+                crate::fst::Fst::compile(&e, &fx.dict).unwrap();
+                assert_eq!(PatEx::parse(&e.to_string()).unwrap(), e);
+            }
+        });
+    }
+
+    #[test]
+    fn nesting_limit_counts_groups_and_stacked_operators() {
+        let at_limit = format!("{}a{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(PatEx::parse(&at_limit).is_ok());
+        // One more enclosing group: the innermost bracket is one too deep.
+        let past = format!("({at_limit})");
+        let err = PatEx::parse(&past).unwrap_err();
+        assert!(
+            matches!(err, Error::Parse { pos, .. } if pos == MAX_NESTING),
+            "{err:?}"
+        );
+        // Postfix operators each wrap one more level around their operand.
+        let stars = format!("a{}", "*".repeat(MAX_NESTING));
+        assert!(PatEx::parse(&stars).is_ok());
+        let more = format!("{stars}?");
+        let err = PatEx::parse(&more).unwrap_err();
+        assert!(
+            matches!(err, Error::Parse { pos, .. } if pos == MAX_NESTING + 1),
+            "{err:?}"
+        );
+        // ... and so does a capture group around them, though only one
+        // group is open; a bracket makes no node and adds no level.
+        let err = PatEx::parse(&format!("({stars})")).unwrap_err();
+        assert!(matches!(err, Error::Parse { pos: 0, .. }), "{err:?}");
+        assert!(PatEx::parse(&format!("[{stars}]")).is_ok());
+        // Operators after a group add to the levels inside it.
+        let half = MAX_NESTING / 2;
+        let inside = format!("{}a{}", "(".repeat(half), ")".repeat(half));
+        assert!(PatEx::parse(&format!("{inside}{}", "+".repeat(half))).is_ok());
+        let err = PatEx::parse(&format!("{inside}{}", "+".repeat(half + 1))).unwrap_err();
+        assert!(
+            matches!(err, Error::Parse { pos, .. } if pos == 2 * half + 1 + half),
+            "{err:?}"
+        );
+        // Siblings do not add up.
+        let siblings = format!("{at_limit} {at_limit}");
+        assert!(PatEx::parse(&siblings).is_ok());
     }
 }

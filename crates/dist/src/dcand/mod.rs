@@ -11,7 +11,7 @@
 //! The serialized NFA is shipped to partition `P_p`; identical NFAs are
 //! aggregated into weighted ones by the engine's combiner (Sec. VI-A
 //! "Aggregation"), and suffix-sharing minimization shrinks them further
-//! ([`nfa::TrieBuilder::minimize`]).
+//! ([`TrieBuilder::minimize`]).
 //!
 //! Reducers decode the NFAs, expand each one into its (deduplicated)
 //! candidate set, and count candidates weighted by the number of source
@@ -20,16 +20,14 @@
 //! paper's executor memory limit: loose constraints (e.g. `T1` at low σ)
 //! exhaust it exactly where the paper reports out-of-memory failures.
 
-pub mod nfa;
-
 use desq_core::fst::flat::RunSets;
+use desq_core::fst::nfa::{Nfa, TrieBuilder};
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
 use desq_bsp::{Combiner, Engine};
 
-use crate::{from_bsp, to_bsp, Exec, MiningResult};
-use nfa::{Nfa, TrieBuilder};
+use crate::{Exec, MiningResult};
 
 /// Configuration of the D-CAND algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -280,12 +278,12 @@ fn d_cand_exec(
     // multiplicity — DESQ-COUNT over compressed inputs, σ-filtered.
     let expand_and_count = |inputs: &mut dyn Iterator<Item = (&[u8], u64)>,
                             emit: &mut dyn FnMut((Sequence, u64))|
-     -> desq_bsp::Result<()> {
+     -> Result<()> {
         let mut counter = CandidateCounter::new();
         for (bytes, weight) in inputs {
-            let nfa = Nfa::deserialize(bytes).map_err(to_bsp)?;
+            let nfa = Nfa::deserialize(bytes)?;
             counter.begin_sequence(weight);
-            for candidate in nfa.expand(config.run_budget).map_err(to_bsp)? {
+            for candidate in nfa.expand(config.run_budget)? {
                 counter.observe(&candidate);
             }
         }
@@ -300,9 +298,7 @@ fn d_cand_exec(
             let walker = RunWalker::new(fst, dict, &index, last_frequent);
             let mut scratch = RunScratch::default();
             for seq in part {
-                for (p, bytes) in
-                    representations(&walker, seq, &config, &mut scratch).map_err(to_bsp)?
-                {
+                for (p, bytes) in representations(&walker, seq, &config, &mut scratch)? {
                     // The serialized NFA goes through the byte-payload
                     // path: combined by content, interned per bucket chunk.
                     out.emit(&p, &bytes, 1);
@@ -320,43 +316,33 @@ fn d_cand_exec(
              inputs: &[(&[u8], u64)],
              emit: &mut dyn FnMut((Sequence, u64))| { reduce(p, inputs, emit) };
         match exec {
-            Exec::Local => engine
-                .map_combine_reduce(parts, map, reduce)
-                .map_err(from_bsp)?,
-            Exec::Via(transport) => engine
-                .map_combine_reduce_via(transport, parts, map, || (), reduce_with)
-                .map_err(from_bsp)?,
+            Exec::Local => engine.map_combine_reduce(parts, map, reduce)?,
+            Exec::Via(transport) => {
+                engine.map_combine_reduce_via(transport, parts, map, || (), reduce_with)?
+            }
             Exec::Worker(addr, net) => {
-                engine
-                    .run_worker(addr, net, parts, map, || (), reduce_with)
-                    .map_err(from_bsp)?;
+                engine.run_worker(addr, net, parts, map, || (), reduce_with)?;
                 return Ok(None);
             }
         }
     } else {
         // The guard above pinned this branch to Exec::Local.
-        engine
-            .map_reduce(
-                parts,
-                |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
-                    let walker = RunWalker::new(fst, dict, &index, last_frequent);
-                    let mut scratch = RunScratch::default();
-                    for seq in part {
-                        for (p, bytes) in
-                            representations(&walker, seq, &config, &mut scratch).map_err(to_bsp)?
-                        {
-                            emit(p, (bytes, 1));
-                        }
+        engine.map_reduce(
+            parts,
+            |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
+                let walker = RunWalker::new(fst, dict, &index, last_frequent);
+                let mut scratch = RunScratch::default();
+                for seq in part {
+                    for (p, bytes) in representations(&walker, seq, &config, &mut scratch)? {
+                        emit(p, (bytes, 1));
                     }
-                    Ok(())
-                },
-                |_p: &ItemId,
-                 inputs: Vec<(Vec<u8>, u64)>,
-                 emit: &mut dyn FnMut((Sequence, u64))| {
-                    expand_and_count(&mut inputs.iter().map(|(b, w)| (b.as_slice(), *w)), emit)
-                },
-            )
-            .map_err(from_bsp)?
+                }
+                Ok(())
+            },
+            |_p: &ItemId, inputs: Vec<(Vec<u8>, u64)>, emit: &mut dyn FnMut((Sequence, u64))| {
+                expand_and_count(&mut inputs.iter().map(|(b, w)| (b.as_slice(), *w)), emit)
+            },
+        )?
     };
     let patterns = desq_miner::sort_patterns(patterns);
     let metrics = crate::metrics_from_job(

@@ -18,13 +18,14 @@
 //! the early-stopping heuristic prunes snapshots that can no longer
 //! produce the pivot (Sec. V-C).
 
-use desq_bsp::{decode_item_seq, encode_item_seq, Combiner, Engine};
+use desq_bsp::{Combiner, Engine};
+use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fx::FxHashMap;
 use desq_core::{Dictionary, Fst, ItemId, Result, Sequence};
 use desq_miner::{LocalMiner, MinerConfig, SeqCore};
 
 use crate::pivots::{PivotRange, PivotScratch, PivotSearch};
-use crate::{from_bsp, to_bsp, Exec, MiningResult};
+use crate::{Exec, MiningResult};
 
 /// Configuration of the D-SEQ algorithm. The boolean flags correspond to
 /// the cumulative enhancements of Fig. 10a.
@@ -134,9 +135,7 @@ fn d_seq_exec(
             if config.use_grid {
                 search.pivots_into(seq, &mut scratch, &mut ranges);
             } else {
-                ranges = search
-                    .pivots_enumerated_ranges(seq, config.run_budget)
-                    .map_err(to_bsp)?;
+                ranges = search.pivots_enumerated_ranges(seq, config.run_budget)?;
             }
             let Some(pr0) = ranges.first() else { continue };
             // All pivots share the rewritten range: serialize once, emit
@@ -167,7 +166,7 @@ fn d_seq_exec(
                   &p: &ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
-     -> desq_bsp::Result<()> {
+     -> Result<()> {
         let miner_config = MinerConfig::for_pivot(config.sigma, p, config.early_stop)
             .with_last_frequent(last_frequent);
         let miner = LocalMiner::with_index(fst, dict, miner_config, index);
@@ -195,16 +194,12 @@ fn d_seq_exec(
     };
 
     let (patterns, job) = match exec {
-        Exec::Local => engine
-            .map_combine_reduce_with(parts, map, CoreCache::default, reduce)
-            .map_err(from_bsp)?,
-        Exec::Via(transport) => engine
-            .map_combine_reduce_via(transport, parts, map, CoreCache::default, reduce)
-            .map_err(from_bsp)?,
+        Exec::Local => engine.map_combine_reduce_with(parts, map, CoreCache::default, reduce)?,
+        Exec::Via(transport) => {
+            engine.map_combine_reduce_via(transport, parts, map, CoreCache::default, reduce)?
+        }
         Exec::Worker(addr, net) => {
-            engine
-                .run_worker(addr, net, parts, map, CoreCache::default, reduce)
-                .map_err(from_bsp)?;
+            engine.run_worker(addr, net, parts, map, CoreCache::default, reduce)?;
             return Ok(None);
         }
     };

@@ -24,7 +24,7 @@
 //! Supporting machinery: [`PivotSearch`] computes pivot sets `K^σ(T)` either
 //! by dynamic programming over the position–state grid or by run enumeration
 //! (Sec. V-A/V-B), [`dcand::merge_pivots`] is the ⊕ pivot-merge of Th. 1,
-//! [`dcand::nfa`] holds the trie/NFA construction with byte-level
+//! [`desq_core::fst::nfa`] holds the trie/NFA construction with byte-level
 //! serialization for shuffle accounting, and [`patterns`] is the constraint
 //! library of Tab. III. `docs/ARCHITECTURE.md` in the repository root
 //! traces the end-to-end data flow of each algorithm through the flat
@@ -110,33 +110,4 @@ pub enum Exec<'a> {
 /// Total input sequences across the map partitions.
 pub(crate) fn input_len(parts: &[&[Sequence]]) -> u64 {
     parts.iter().map(|p| p.len() as u64).sum()
-}
-
-/// Maps an engine error back into the workspace error type.
-pub(crate) fn from_bsp(e: desq_bsp::Error) -> desq_core::Error {
-    match e {
-        desq_bsp::Error::ResourceExhausted(m) => desq_core::Error::ResourceExhausted(m),
-        desq_bsp::Error::Decode(m) => desq_core::Error::Decode(m),
-        desq_bsp::Error::DeadlineExceeded(m) => desq_core::Error::DeadlineExceeded(m),
-        desq_bsp::Error::Cancelled(m) => desq_core::Error::Cancelled(m),
-        desq_bsp::Error::WorkerPanicked(m) => desq_core::Error::WorkerPanicked(m),
-        desq_bsp::Error::Worker(m) => desq_core::Error::Invalid(m),
-        desq_bsp::Error::PeerUnreachable(m) => desq_core::Error::PeerUnreachable(m),
-        desq_bsp::Error::PeerTimedOut(m) => desq_core::Error::PeerTimedOut(m),
-    }
-}
-
-/// Maps a workspace error into the engine error type (for map/reduce
-/// closures running inside a BSP job).
-pub(crate) fn to_bsp(e: desq_core::Error) -> desq_bsp::Error {
-    match e {
-        desq_core::Error::ResourceExhausted(m) => desq_bsp::Error::ResourceExhausted(m),
-        desq_core::Error::Decode(m) => desq_bsp::Error::Decode(m),
-        desq_core::Error::DeadlineExceeded(m) => desq_bsp::Error::DeadlineExceeded(m),
-        desq_core::Error::Cancelled(m) => desq_bsp::Error::Cancelled(m),
-        desq_core::Error::WorkerPanicked(m) => desq_bsp::Error::WorkerPanicked(m),
-        desq_core::Error::PeerUnreachable(m) => desq_bsp::Error::PeerUnreachable(m),
-        desq_core::Error::PeerTimedOut(m) => desq_bsp::Error::PeerTimedOut(m),
-        other => desq_bsp::Error::Worker(other.to_string()),
-    }
 }

@@ -24,7 +24,7 @@ use desq_core::codec::decode_item_seq;
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::{sequence, Dictionary, Fst, ItemId, Result, Sequence};
 
-use crate::{from_bsp, to_bsp, Exec, MiningResult};
+use crate::{Exec, MiningResult};
 
 /// Configuration of the NAÏVE / SEMI-NAÏVE baselines.
 #[derive(Debug, Clone, Copy)]
@@ -131,9 +131,14 @@ fn naive_exec(
         let mut scratch = RunScratch::default();
         let mut counter = CandidateCounter::with_keys();
         for seq in part {
-            walker
-                .count_candidates(seq, 1, config.budget, &mut scratch, &mut counter, |_, _| {})
-                .map_err(to_bsp)?;
+            walker.count_candidates(
+                seq,
+                1,
+                config.budget,
+                &mut scratch,
+                &mut counter,
+                |_, _| {},
+            )?;
         }
         // Drain the partition's interned counts: each distinct candidate is
         // emitted once with its accumulated weight (a mapper-level combine
@@ -151,7 +156,7 @@ fn naive_exec(
             if freq >= config.sigma {
                 let mut c: Sequence = Vec::new();
                 let mut slice = bytes;
-                decode_item_seq(&mut slice, &mut c).map_err(to_bsp)?;
+                decode_item_seq(&mut slice, &mut c)?;
                 emit((c, freq));
             }
         }
@@ -165,16 +170,12 @@ fn naive_exec(
             reduce(p, cands, emit)
         };
     let (patterns, job) = match exec {
-        Exec::Local => engine
-            .map_combine_reduce(parts, map, reduce)
-            .map_err(from_bsp)?,
-        Exec::Via(transport) => engine
-            .map_combine_reduce_via(transport, parts, map, || (), reduce_with)
-            .map_err(from_bsp)?,
+        Exec::Local => engine.map_combine_reduce(parts, map, reduce)?,
+        Exec::Via(transport) => {
+            engine.map_combine_reduce_via(transport, parts, map, || (), reduce_with)?
+        }
         Exec::Worker(addr, net) => {
-            engine
-                .run_worker(addr, net, parts, map, || (), reduce_with)
-                .map_err(from_bsp)?;
+            engine.run_worker(addr, net, parts, map, || (), reduce_with)?;
             return Ok(None);
         }
     };

@@ -7,7 +7,7 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use desq_bsp::transport::{write_net_frame, Frame, NET_PROTOCOL_VERSION};
+use desq_bsp::transport::{write_net_frame, Frame, NET_MAX_FRAME_LEN, NET_PROTOCOL_VERSION};
 use desq_bsp::{Engine, InProcess, NetConfig, NetCoordinator};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::retry::RetryPolicy;
@@ -272,7 +272,6 @@ fn stalled_peer_trips_liveness_and_job_completes() {
     // A peer that completes the handshake and then goes silent — the
     // classic straggler/hung-process failure, not a clean disconnect.
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-    let max_frame = cfg.max_frame;
     let stalled = thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).unwrap();
         write_net_frame(
@@ -281,7 +280,7 @@ fn stalled_peer_trips_liveness_and_job_completes() {
                 version: NET_PROTOCOL_VERSION,
                 fingerprint: 0,
             },
-            max_frame,
+            NET_MAX_FRAME_LEN,
         )
         .unwrap();
         // Hold the connection open, silently, until the test is done.

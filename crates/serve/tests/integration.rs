@@ -169,6 +169,35 @@ fn overload_gets_an_explicit_busy_frame() {
     handle.shutdown();
 }
 
+/// An expression nested 100 000 levels deep is a 200 KB request, well
+/// under the frame cap; postfix operators stacked inside and after 255
+/// nested groups make a 33 KB one. Parsing, compiling or dropping either
+/// must not overflow the connection thread's stack, which would abort
+/// the whole daemon: each is answered with a parse error, and the daemon
+/// keeps serving.
+#[test]
+fn hostile_nesting_gets_an_error_frame_and_the_daemon_keeps_serving() {
+    let handle = toy_server(ServeLimits::default());
+    let client = Client::new(handle.addr());
+    let depth = 100_000;
+    let parens = format!("{}a1{}", "(".repeat(depth), ")".repeat(depth));
+    let mut stacked = "[".repeat(255) + "a1";
+    for d in (1..256).rev() {
+        stacked += &"*".repeat(256 - d);
+        stacked.push(']');
+    }
+    for pexp in [parens, stacked] {
+        let err = client.query(&Request::new("toy", pexp, 2)).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Remote(Error::Parse { ref msg, .. }) if msg.contains("nesting")),
+            "expected Remote(Parse), got {err}"
+        );
+        let next = client.query(&Request::new("toy", toy::PATTERN, 2)).unwrap();
+        assert_eq!(next.patterns.len(), 3);
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn admission_rejects_bad_requests_before_mining() {
     let handle = toy_server(ServeLimits {

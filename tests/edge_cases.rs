@@ -284,7 +284,7 @@ fn single_worker_session_handles_many_partitions_and_reducers() {
 
 #[test]
 fn corrupted_nfa_bytes_reported_as_decode_error() {
-    use desq::dist::dcand::nfa::Nfa;
+    use desq::core::fst::nfa::Nfa;
     // Flags byte with invalid bits set.
     let err = Nfa::deserialize(&[0xff, 0x00]).unwrap_err();
     assert!(matches!(err, Error::Decode(_)));

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 
-use desq::bsp::{decode_item_seq, encode_item_seq, Engine};
+use desq::bsp::Engine;
+use desq::core::codec::{decode_item_seq, encode_item_seq};
 use desq::core::fx::FxHashMap;
 use desq::datagen::{amzn_like, to_forest, AmznConfig};
 use desq::session::{AlgorithmSpec, MiningSession};

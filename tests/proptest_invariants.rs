@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 
 use desq::core::fst::candidates;
+use desq::core::fst::nfa::TrieBuilder;
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
 use desq::dist::dcand::merge_pivots;
-use desq::dist::dcand::nfa::TrieBuilder;
 use desq::dist::PivotSearch;
 use desq::miner::{LocalMiner, MinerConfig, SchedConfig, WeightedInput};
 use desq::session::{AlgorithmSpec, MiningSession};
@@ -637,7 +637,7 @@ proptest! {
         prop_assert_eq!(raw.language(), min.language());
         prop_assert!(min.num_states() <= nodes);
         let bytes = min.serialize();
-        let back = desq::dist::dcand::nfa::Nfa::deserialize(&bytes).unwrap();
+        let back = desq::core::fst::nfa::Nfa::deserialize(&bytes).unwrap();
         prop_assert_eq!(back.language(), min.language());
     }
 
