@@ -297,9 +297,13 @@ pub fn validate_sigma(sigma: u64) -> Result<()> {
 /// `docs/ARCHITECTURE.md` for the cost model behind `Auto`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecutionPolicy {
-    /// Let a small sampling cost model choose per run (the default). If the
-    /// chosen lean path exhausts the work budget, the run transparently
-    /// falls back to the flat path instead of erroring.
+    /// Let a small sampling cost model choose per run (the default). A lean
+    /// choice is bounded over the whole run: the lean path may count only
+    /// as many candidate occurrences in all as the probe's per-sequence
+    /// threshold times the database size. If it passes that allowance or
+    /// exhausts the work budget, the run transparently falls back to the
+    /// flat path instead of erroring, so outputs never depend on the
+    /// choice.
     #[default]
     Auto,
     /// Always materialize the flat tables (the only choice for streaming

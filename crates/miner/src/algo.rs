@@ -13,7 +13,7 @@ use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::mining::{ExecutionPolicy, Miner, MiningContext, MiningMetrics, MiningResult};
 use desq_core::{Error, Fst, Result};
 
-use crate::desq_count::desq_count_impl;
+use crate::desq_count::desq_count_within;
 use crate::desq_dfs::{LocalMiner, MinerConfig, WeightedInput};
 use crate::sched::WorkerStats;
 
@@ -52,10 +52,13 @@ const PROBE_SEQS: usize = 16;
 /// enumeration, so the flat path wins regardless of the average.
 const PROBE_CAP: usize = 4096;
 /// Lean is chosen when the probed average stays at or below this many
-/// candidate occurrences per sequence (tuned on the NYT constraint suite:
-/// the selective N2/N3 constraints probe in the low single digits and the
-/// lean path wins them 2–5×, the expressive N5/N4 probe at ~27/~50 and the
-/// flat tables win there).
+/// candidate occurrences per sequence, and a lean run under `Auto` may
+/// count at most this many per database sequence in all. Tuned on the NYT
+/// constraint suite: the selective N2/N3 constraints probe in the low
+/// single digits and the lean path wins them 2–5×. The expressive N5/N4
+/// probe at ~27/~50 and run flat, although on N5 (40 000 sequences, 2
+/// workers, 2-core box) lean measured 0.08–0.11 s against 0.14–0.17 s for
+/// the flat tables.
 const LEAN_MAX_AVG: f64 = 12.0;
 /// Structural pre-gate: automata whose state count × distinct-input count
 /// exceeds this are assumed expressive enough for the flat path without
@@ -101,6 +104,35 @@ fn prefers_lean(ctx: &MiningContext<'_>, fst: &Fst) -> bool {
     counter.observed() as f64 / sampled as f64 <= LEAN_MAX_AVG
 }
 
+/// The candidate-counting path shared by [`DesqCount`] and the lean side
+/// of [`DesqDfs`]: `allowance` caps the run's total candidate occurrences
+/// (`None`: only the per-sequence `ctx.limits.budget` applies).
+fn mine_counting(
+    ctx: &MiningContext<'_>,
+    fst: &Fst,
+    t0: Instant,
+    allowance: Option<u64>,
+) -> Result<MiningResult> {
+    let (patterns, work, stats) = desq_count_within(
+        ctx.db,
+        fst,
+        ctx.dict,
+        ctx.sigma,
+        ctx.limits.budget,
+        allowance,
+        ctx.workers,
+        ctx.cancel,
+    )?;
+    let metrics = scheduler_metrics(
+        t0.elapsed().as_nanos() as u64,
+        ctx.db.len() as u64,
+        work,
+        patterns.len() as u64,
+        &stats,
+    );
+    Ok(MiningResult { patterns, metrics })
+}
+
 /// DESQ-DFS: pattern growth over projected databases (Fig. 6).
 ///
 /// Honors `ctx.workers` through the work-stealing scheduler in
@@ -110,11 +142,14 @@ fn prefers_lean(ctx: &MiningContext<'_>, fst: &Fst) -> bool {
 /// [`ExecutionPolicy::Auto`] a sampling cost model (a probe of strided
 /// input sequences plus a structural automaton-size gate; see
 /// `docs/ARCHITECTURE.md`) may route cheap constraints to the lean
-/// candidate-counting path, skipping flat-table materialization; if the
-/// lean path exhausts `ctx.limits.budget` the run transparently retries on
-/// the flat path. [`ExecutionPolicy::Lean`] forces the counting path (and
-/// propagates budget exhaustion); [`ExecutionPolicy::Flat`] forces table
-/// materialization.
+/// candidate-counting path, skipping flat-table materialization. That lean
+/// run may count at most `LEAN_MAX_AVG × |D|` candidate occurrences in all
+/// (the probe's threshold applied to the whole database); if it passes
+/// that allowance or exhausts `ctx.limits.budget`, the run transparently
+/// retries on the flat path, so it always ends as one full lean or one
+/// full flat run. [`ExecutionPolicy::Lean`] forces the counting path with
+/// no allowance (and propagates budget exhaustion);
+/// [`ExecutionPolicy::Flat`] forces table materialization.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DesqDfs;
 
@@ -133,27 +168,6 @@ impl DesqDfs {
         );
         Ok(MiningResult { patterns, metrics })
     }
-
-    fn mine_lean(&self, ctx: &MiningContext<'_>, t0: Instant) -> Result<MiningResult> {
-        let fst = ctx.fst()?;
-        let (patterns, work, stats) = desq_count_impl(
-            ctx.db,
-            fst,
-            ctx.dict,
-            ctx.sigma,
-            ctx.limits.budget,
-            ctx.workers,
-            ctx.cancel,
-        )?;
-        let metrics = scheduler_metrics(
-            t0.elapsed().as_nanos() as u64,
-            ctx.db.len() as u64,
-            work,
-            patterns.len() as u64,
-            &stats,
-        );
-        Ok(MiningResult { patterns, metrics })
-    }
 }
 
 impl Miner for DesqDfs {
@@ -167,15 +181,18 @@ impl Miner for DesqDfs {
         let t0 = Instant::now();
         match ctx.exec {
             ExecutionPolicy::Flat => self.mine_flat(ctx, t0),
-            ExecutionPolicy::Lean => self.mine_lean(ctx, t0),
+            ExecutionPolicy::Lean => mine_counting(ctx, fst, t0, None),
             ExecutionPolicy::Auto => {
                 if prefers_lean(ctx, fst) {
-                    match self.mine_lean(ctx, t0) {
-                        // The probe under-estimated: enumeration blew the
-                        // budget somewhere past the sampled prefix. The
-                        // flat path bounds its work differently, so fall
-                        // back instead of failing a run the flat path
-                        // would finish.
+                    // The probe's threshold, enforced over the whole
+                    // database instead of a sample.
+                    let allowance = (LEAN_MAX_AVG * ctx.db.len() as f64) as u64;
+                    match mine_counting(ctx, fst, t0, Some(allowance)) {
+                        // The probe under-estimated: enumeration passed the
+                        // allowance or the budget somewhere it did not
+                        // sample. The flat path bounds its work
+                        // differently, so fall back instead of failing a
+                        // run the flat path would finish.
                         Err(Error::ResourceExhausted(_)) => self.mine_flat(ctx, t0),
                         other => other,
                     }
@@ -203,24 +220,7 @@ impl Miner for DesqCount {
     fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
         ctx.validate()?;
         let fst = ctx.fst()?;
-        let t0 = Instant::now();
-        let (patterns, work, stats) = desq_count_impl(
-            ctx.db,
-            fst,
-            ctx.dict,
-            ctx.sigma,
-            ctx.limits.budget,
-            ctx.workers,
-            ctx.cancel,
-        )?;
-        let metrics = scheduler_metrics(
-            t0.elapsed().as_nanos() as u64,
-            ctx.db.len() as u64,
-            work,
-            patterns.len() as u64,
-            &stats,
-        );
-        Ok(MiningResult { patterns, metrics })
+        mine_counting(ctx, fst, Instant::now(), None)
     }
 }
 

@@ -24,12 +24,12 @@
 //! sequences no longer pins one statically-assigned worker while the
 //! others idle.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::mining::CancelToken;
-use desq_core::{mining, Dictionary, Fst, Result, Sequence, SequenceDb};
+use desq_core::{mining, Dictionary, Error, Fst, Result, Sequence, SequenceDb};
 
 use crate::sched::{self, WorkerStats};
 
@@ -42,13 +42,38 @@ type CountOutcome = (Vec<(Sequence, u64)>, u64, Vec<WorkerStats>);
 /// round trip) stays invisible next to candidate enumeration.
 const COUNT_BLOCK: usize = 64;
 
-/// The workhorse behind [`crate::algo::DesqCount`]: mines by explicit
-/// candidate enumeration and reports the total number of candidate
-/// occurrences counted (the algorithm's work metric) plus per-worker
-/// [`WorkerStats`]. Candidate enumeration is sharded into input blocks
-/// scheduled by work stealing (per-sequence enumeration is independent);
-/// workers count into owned [`CandidateCounter`] partials that are merged
-/// on the calling thread before the frequency filter.
+/// A whole-run cap on candidate occurrences, shared by every worker of one
+/// counting run. Each worker charges a sequence's occurrences once it has
+/// counted it, so the run fails once its running total passes the cap: the
+/// outcome depends on the total, not on the worker count or interleaving.
+/// Sequences without candidates, most of a selective constraint's input,
+/// skip the shared counter.
+struct Allowance {
+    limit: u64,
+    used: AtomicU64,
+}
+
+impl Allowance {
+    fn charge(&self, occurrences: u64) -> Result<()> {
+        if occurrences == 0 {
+            return Ok(());
+        }
+        // Relaxed: the total publishes no other data, and `fetch_add`
+        // alone keeps the sum exact.
+        let used = self.used.fetch_add(occurrences, Ordering::Relaxed) + occurrences;
+        if used > self.limit {
+            return Err(Error::ResourceExhausted(format!(
+                "candidate counting exceeded the run's allowance of {} candidate occurrences",
+                self.limit
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// [`desq_count_within`] without a whole-run allowance (the unit tests'
+/// shorthand).
+#[cfg(test)]
 pub(crate) fn desq_count_impl(
     db: &SequenceDb,
     fst: &Fst,
@@ -58,10 +83,60 @@ pub(crate) fn desq_count_impl(
     workers: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<CountOutcome> {
+    desq_count_within(db, fst, dict, sigma, budget, None, workers, cancel)
+}
+
+/// The workhorse behind [`crate::algo::DesqCount`] and the lean path of
+/// [`crate::algo::DesqDfs`]: mines by explicit candidate enumeration and
+/// reports the total number of candidate occurrences counted (the
+/// algorithm's work metric) plus per-worker [`WorkerStats`]. Candidate
+/// enumeration is sharded into input blocks scheduled by work stealing
+/// (per-sequence enumeration is independent); workers count into owned
+/// [`CandidateCounter`] partials that are merged on the calling thread
+/// before the frequency filter.
+///
+/// Two caps fail the run with [`Error::ResourceExhausted`]: `budget` per
+/// sequence (candidate occurrences plus runs walked), and the optional
+/// whole-run `allowance` of candidate occurrences summed over all
+/// sequences and workers. With an allowance the per-sequence budget is
+/// capped at it too, so one huge sequence stops early instead of
+/// overshooting. That cap counts runs walked as well as candidates, so a
+/// single sequence whose walk alone passes the allowance fails the run
+/// even when the total would not.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn desq_count_within(
+    db: &SequenceDb,
+    fst: &Fst,
+    dict: &Dictionary,
+    sigma: u64,
+    budget: usize,
+    allowance: Option<u64>,
+    workers: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<CountOutcome> {
     mining::validate_sigma(sigma)?;
     let workers = workers.max(1).min(db.sequences.len().max(1));
     let index = FstIndex::new(fst);
     let max_item = dict.last_frequent(sigma);
+    let budget = allowance.map_or(budget, |a| {
+        budget.min(usize::try_from(a).unwrap_or(usize::MAX))
+    });
+    let allowance = allowance.map(|limit| Allowance {
+        limit,
+        used: AtomicU64::new(0),
+    });
+    let count_one = |walker: &RunWalker<'_>,
+                     seq: &Sequence,
+                     scratch: &mut RunScratch,
+                     counter: &mut CandidateCounter|
+     -> Result<()> {
+        let before = counter.observed();
+        walker.count_candidates(seq, 1, budget, scratch, counter, |_, _| {})?;
+        match &allowance {
+            Some(a) => a.charge(counter.observed() - before),
+            None => Ok(()),
+        }
+    };
 
     let (counter, stats) = if workers == 1 {
         let t0 = std::time::Instant::now();
@@ -72,7 +147,7 @@ pub(crate) fn desq_count_impl(
             if let Some(token) = cancel {
                 token.checkpoint()?;
             }
-            walker.count_candidates(seq, 1, budget, &mut scratch, &mut counter, |_, _| {})?;
+            count_one(&walker, seq, &mut scratch, &mut counter)?;
         }
         (
             counter,
@@ -99,7 +174,7 @@ pub(crate) fn desq_count_impl(
             .collect();
         let local_cancel = AtomicBool::new(false);
         let partials: Mutex<Vec<(usize, CandidateCounter)>> = Mutex::new(Vec::new());
-        let failure: Mutex<Option<desq_core::Error>> = Mutex::new(None);
+        let failure: Mutex<Option<Error>> = Mutex::new(None);
         let (stats, ()) = sched::run_scheduler(
             seed,
             states,
@@ -107,9 +182,7 @@ pub(crate) fn desq_count_impl(
             cancel,
             |range, (walker, scratch, counter), _ctx| {
                 for seq in &db.sequences[range] {
-                    if let Err(e) =
-                        walker.count_candidates(seq, 1, budget, scratch, counter, |_, _| {})
-                    {
+                    if let Err(e) = count_one(walker, seq, scratch, counter) {
                         let mut f = failure.lock().unwrap();
                         if f.is_none() {
                             *f = Some(e);
@@ -217,6 +290,63 @@ mod tests {
             desq_count_impl(&fx.db, &fx.fst, &fx.dict, 0, usize::MAX, 1, None),
             Err(Error::Invalid(_))
         ));
+    }
+
+    /// [`desq_count_within`] on the toy FST and dictionary, no budget.
+    fn within(db: &SequenceDb, sigma: u64, allowance: u64, workers: usize) -> Result<CountOutcome> {
+        let fx = toy::fixture();
+        desq_count_within(
+            db,
+            &fx.fst,
+            &fx.dict,
+            sigma,
+            usize::MAX,
+            Some(allowance),
+            workers,
+            None,
+        )
+    }
+
+    #[test]
+    fn allowance_trips_exactly_past_the_runs_total() {
+        // The toy database repeated, so the run's total dwarfs any one
+        // sequence's walk, as the cost model's allowance of 12 occurrences
+        // per sequence does on real corpora.
+        let fx = toy::fixture();
+        let db = SequenceDb::new((0..20).flat_map(|_| fx.db.sequences.clone()).collect());
+        for sigma in [1, 2] {
+            let (want, total, _) =
+                desq_count_impl(&db, &fx.fst, &fx.dict, sigma, usize::MAX, 1, None).unwrap();
+            assert!(total > 0);
+            for workers in [1, 3] {
+                let (got, work, _) = within(&db, sigma, total, workers).unwrap();
+                assert_eq!(got, want, "sigma={sigma} workers={workers}");
+                assert_eq!(work, total, "sigma={sigma} workers={workers}");
+                assert!(
+                    matches!(
+                        within(&db, sigma, total - 1, workers),
+                        Err(Error::ResourceExhausted(_))
+                    ),
+                    "sigma={sigma} workers={workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_sequence_walking_past_the_allowance_trips_it() {
+        // On the bare toy, T2's walk (runs plus candidates) alone passes
+        // the run's total of occurrences: the per-sequence budget, capped
+        // at the allowance, stops it there instead of letting it overshoot.
+        let fx = toy::fixture();
+        let (_, total, _) =
+            desq_count_impl(&fx.db, &fx.fst, &fx.dict, 2, usize::MAX, 1, None).unwrap();
+        for workers in [1, 3] {
+            assert!(matches!(
+                within(&fx.db, 2, total, workers),
+                Err(Error::ResourceExhausted(_))
+            ));
+        }
     }
 
     #[test]
