@@ -22,16 +22,13 @@
 //! one copy pass), so the map side performs no growth reallocation.
 
 use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Stealer, Worker as DequeWorker};
 use desq_core::codec::{read_varint, varint_len, write_varint};
 use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, ProbeTable};
-use desq_core::mining::{panic_message, CancelToken};
+use desq_core::mining::CancelToken;
+use desq_core::sched::{Executor, WorkerStats};
 use desq_core::{Error, Result};
-use parking_lot::Mutex;
 
 use crate::codec::Codec;
 use crate::metrics::JobMetrics;
@@ -45,13 +42,12 @@ use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
 ///
 /// # Failure domains
 ///
-/// Every map and reduce task body runs under `catch_unwind`: a panicking
-/// task marks the job's [`CancelToken`] (when one is attached), the
-/// remaining workers stop at their next task boundary, and the job returns
-/// [`Error::WorkerPanicked`] instead of killing the process. A token
-/// attached with [`with_cancel`](Engine::with_cancel) is polled between
-/// tasks; an expired deadline or external cancellation aborts the job with
-/// the token's [`stop_reason`](CancelToken::stop_reason).
+/// Every in-process phase of a job (map, reduce-side merge, reduce) runs on
+/// the workspace's one task executor, [`desq_core::sched`], under the
+/// token attached with [`with_cancel`](Engine::with_cancel): a panicking
+/// task, the first task error, an expired deadline or an external cancel
+/// each abort the job with a typed error instead of killing the process,
+/// as the executor's contract states.
 #[derive(Debug, Clone)]
 pub struct Engine {
     workers: usize,
@@ -488,14 +484,10 @@ impl Engine {
         }
     }
 
-    /// Records a caught panic on the attached token so co-operating layers
-    /// observe the failure, and converts it into the job error.
-    fn panicked(&self, payload: &(dyn std::any::Any + Send)) -> Error {
-        let msg = panic_message(payload);
-        if let Some(token) = &self.cancel {
-            token.mark_panicked(&msg);
-        }
-        Error::WorkerPanicked(msg)
+    /// The executor every in-process phase of a job runs on: this
+    /// engine's workers under its token.
+    pub(crate) fn executor(&self) -> Executor<'_> {
+        Executor::new(self.workers, self.cancel.as_ref())
     }
 
     /// Number of worker threads.
@@ -531,14 +523,14 @@ impl Engine {
         RF: Fn(&K, Vec<V>, &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
         let mut metrics = JobMetrics::default();
-        let max_task = AtomicU64::new(0);
 
         // ---- map phase ----
         let t0 = Instant::now();
         let reducers = self.reducers;
-        let outs = self.run_tasks(
+        let (outs, map_stats) = self.executor().run_indexed(
             parts.len(),
-            |t| {
+            || (),
+            |(), t| {
                 let mut out = MapTaskOut {
                     buckets: vec![Vec::new(); reducers],
                     emitted: 0,
@@ -558,7 +550,6 @@ impl Engine {
                 map(parts[t], &mut emit)?;
                 Ok(out)
             },
-            &max_task,
         )?;
         metrics.map_nanos = t0.elapsed().as_nanos() as u64;
 
@@ -566,9 +557,10 @@ impl Engine {
 
         // ---- reduce phase ----
         let t1 = Instant::now();
-        let outputs = self.run_tasks(
+        let (outputs, reduce_stats) = self.executor().run_indexed(
             self.reducers,
-            |t| {
+            || (),
+            |(), t| {
                 #[cfg(feature = "failpoints")]
                 desq_core::fault::point("bsp::reduce_merge")?;
                 // Decode records keeping the raw key bytes; group by them
@@ -602,10 +594,9 @@ impl Engine {
                 }
                 Ok(out)
             },
-            &max_task,
         )?;
         metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-        metrics.max_task_nanos = max_task.into_inner();
+        metrics.max_task_nanos = slowest(&map_stats).max(slowest(&reduce_stats));
 
         let mut flat = Vec::new();
         for o in outputs {
@@ -684,19 +675,18 @@ impl Engine {
         RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
         let mut metrics = JobMetrics::default();
-        let max_task = AtomicU64::new(0);
 
         // ---- map + combine phase ----
         let t0 = Instant::now();
         let reducers = self.reducers;
-        let outs = self.run_tasks(
+        let (outs, map_stats) = self.executor().run_indexed(
             parts.len(),
-            |t| {
+            || (),
+            |(), t| {
                 let mut combiner = Combiner::new(reducers);
                 map(parts[t], &mut combiner)?;
                 Ok(combiner.into_task_out())
             },
-            &max_task,
         )?;
         metrics.map_nanos = t0.elapsed().as_nanos() as u64;
 
@@ -707,20 +697,21 @@ impl Engine {
         // Step 1 (parallel, one task per bucket): decode the shuffle
         // chunks, merge duplicates across map tasks on the raw bytes, sort
         // into key groups.
-        let buckets: Vec<Vec<ReduceRec<'_>>> = self.run_tasks(
+        let (buckets, merge_stats) = self.executor().run_indexed(
             self.reducers,
-            |t| {
+            || (),
+            |(), t| {
                 #[cfg(feature = "failpoints")]
                 desq_core::fault::point("bsp::reduce_merge")?;
                 merge_bucket_recs::<K>(&chunks[t])
             },
-            &max_task,
         )?;
 
         // Step 2: cut every bucket into key groups, batch adjacent light
-        // groups into tasks, and run the tasks under work stealing so a
-        // heavy key group (a hot D-SEQ pivot) is balanced across workers
-        // instead of pinning its whole bucket to one thread.
+        // groups into tasks, and run the tasks on the executor so a heavy
+        // key group (a hot D-SEQ pivot) is balanced across workers instead
+        // of pinning its whole bucket to one thread. Each worker builds its
+        // reduce state with `init` once.
         let mut groups: Vec<(u32, u32, u32)> = Vec::new(); // (bucket, start, end)
         for (b, recs) in buckets.iter().enumerate() {
             let mut i = 0;
@@ -753,108 +744,36 @@ impl Engine {
             }
         }
 
-        let nworkers = self.workers.min(tasks.len()).max(1);
-        let injector: Injector<(usize, std::ops::Range<usize>)> = Injector::new();
-        for (i, t) in tasks.into_iter().enumerate() {
-            injector.push((i, t));
-        }
-        let locals: Vec<DequeWorker<(usize, std::ops::Range<usize>)>> =
-            (0..nworkers).map(|_| DequeWorker::new_lifo()).collect();
-        let stealers: Vec<Stealer<(usize, std::ops::Range<usize>)>> =
-            locals.iter().map(DequeWorker::stealer).collect();
-        let results: Mutex<Vec<(usize, Vec<O>)>> = Mutex::new(Vec::new());
-        let failure: Mutex<Option<Error>> = Mutex::new(None);
-        let counters: Mutex<(u64, u64)> = Mutex::new((0, 0)); // (tasks, steals)
-        crossbeam::thread::scope(|s| {
-            let (injector, stealers) = (&injector, &stealers);
-            let (results, failure, counters) = (&results, &failure, &counters);
-            let max_task = &max_task;
-            let (buckets, groups, init, reduce) = (&buckets, &groups, &init, &reduce);
-            for (wid, local) in locals.into_iter().enumerate() {
-                s.spawn(move |_| {
-                    let mut state = init();
-                    let (mut ran, mut stole) = (0u64, 0u64);
-                    let mut group_buf: Vec<(&[u8], u64)> = Vec::new();
-                    loop {
-                        if failure.lock().is_some() {
-                            break;
-                        }
-                        if let Err(e) = self.checkpoint() {
-                            let mut f = failure.lock();
-                            if f.is_none() {
-                                *f = Some(e);
-                            }
-                            break;
-                        }
-                        let next = local
-                            .pop()
-                            .or_else(|| injector.steal_batch_and_pop(&local).success())
-                            .or_else(|| {
-                                (1..nworkers).find_map(|i| {
-                                    let got = stealers[(wid + i) % nworkers]
-                                        .steal_batch_and_pop(&local)
-                                        .success();
-                                    stole += u64::from(got.is_some());
-                                    got
-                                })
-                            });
-                        // The task list is fixed (tasks never spawn tasks):
-                        // finding nothing anywhere means every remaining
-                        // task is already running on some worker — done.
-                        let Some((ti, range)) = next else { break };
-                        ran += 1;
-                        let started = Instant::now();
-                        let mut out: Vec<O> = Vec::new();
-                        // The task body (user reduce code) runs under
-                        // catch_unwind: one poisoned key group aborts the
-                        // job instead of tearing the process down.
-                        let run = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-                            for &(b, gs, ge) in &groups[range] {
-                                let recs = &buckets[b as usize][gs as usize..ge as usize];
-                                group_buf.clear();
-                                group_buf.extend(recs.iter().map(|r| (r.payload, r.weight)));
-                                let k = K::decode(&mut &recs[0].key[..])?;
-                                let mut emit = |o: O| out.push(o);
-                                reduce(&mut state, &k, &group_buf, &mut emit)?;
-                            }
-                            Ok(())
-                        }))
-                        .unwrap_or_else(|payload| Err(self.panicked(payload.as_ref())));
-                        max_task.fetch_max(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        match run {
-                            Ok(()) => results.lock().push((ti, out)),
-                            Err(e) => {
-                                let mut f = failure.lock();
-                                if f.is_none() {
-                                    *f = Some(e);
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    let mut c = counters.lock();
-                    c.0 += ran;
-                    c.1 += stole;
-                });
-            }
-        })
-        .map_err(|p| self.panicked(p.as_ref()))?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        let (rtasks, rsteals) = counters.into_inner();
-        metrics.reduce_tasks = rtasks;
-        metrics.reduce_steals = rsteals;
+        let (outputs, reduce_stats) = self.executor().run_indexed(
+            tasks.len(),
+            || (init(), Vec::new()),
+            |(state, group_buf), t| {
+                let mut out: Vec<O> = Vec::new();
+                for &(b, gs, ge) in &groups[tasks[t].clone()] {
+                    let recs = &buckets[b as usize][gs as usize..ge as usize];
+                    group_buf.clear();
+                    group_buf.extend(recs.iter().map(|r| (r.payload, r.weight)));
+                    let k = K::decode(&mut &recs[0].key[..])?;
+                    let mut emit = |o: O| out.push(o);
+                    reduce(state, &k, group_buf, &mut emit)?;
+                }
+                Ok(out)
+            },
+        )?;
+        metrics.reduce_tasks = reduce_stats.iter().map(|s| s.tasks).sum();
+        metrics.reduce_steals = reduce_stats.iter().map(|s| s.steals).sum();
         metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-        metrics.max_task_nanos = max_task.into_inner();
+        metrics.max_task_nanos = [&map_stats, &merge_stats, &reduce_stats]
+            .into_iter()
+            .map(|stats| slowest(stats))
+            .max()
+            .unwrap_or(0);
 
         // Deterministic output: tasks are numbered in (bucket, key) order,
-        // so sorting by task index reproduces the sequential per-bucket
-        // iteration exactly.
-        let mut results = results.into_inner();
-        results.sort_by_key(|&(ti, _)| ti);
+        // and the executor returns their outputs in task order, which
+        // reproduces the sequential per-bucket iteration exactly.
         let mut flat = Vec::new();
-        for (_, o) in results {
+        for o in outputs {
             flat.extend(o);
         }
         metrics.output_records = flat.len() as u64;
@@ -982,65 +901,6 @@ impl Engine {
         crate::transport::worker_loop(addr, cfg, &on_map, &on_reduce)
     }
 
-    /// Runs `n` independent tasks on the worker pool, collecting results.
-    /// The first error (or caught panic, or cancellation) aborts the job;
-    /// later tasks are abandoned cooperatively at task boundaries. The
-    /// wall time of the slowest single task accumulates into `max_nanos`
-    /// (the straggler that bounds the phase barrier).
-    pub(crate) fn run_tasks<T, F>(&self, n: usize, task: F, max_nanos: &AtomicU64) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T> + Sync,
-    {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-        let failure: Mutex<Option<Error>> = Mutex::new(None);
-        let fail = |e: Error| {
-            let mut f = failure.lock();
-            if f.is_none() {
-                *f = Some(e);
-            }
-        };
-        crossbeam::thread::scope(|s| {
-            for _ in 0..self.workers.min(n.max(1)) {
-                s.spawn(|_| loop {
-                    if failure.lock().is_some() {
-                        return;
-                    }
-                    if let Err(e) = self.checkpoint() {
-                        fail(e);
-                        return;
-                    }
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= n {
-                        return;
-                    }
-                    let started = Instant::now();
-                    let run = catch_unwind(AssertUnwindSafe(|| task(t)));
-                    max_nanos.fetch_max(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    match run {
-                        Ok(Ok(out)) => results.lock().push((t, out)),
-                        Ok(Err(e)) => {
-                            fail(e);
-                            return;
-                        }
-                        Err(payload) => {
-                            fail(self.panicked(payload.as_ref()));
-                            return;
-                        }
-                    }
-                });
-            }
-        })
-        .map_err(|p| self.panicked(p.as_ref()))?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        let mut rs = results.into_inner();
-        rs.sort_by_key(|(t, _)| *t);
-        Ok(rs.into_iter().map(|(_, t)| t).collect())
-    }
-
     /// Transposes map-task outputs into per-reducer chunk lists and fills in
     /// shuffle metrics.
     fn regroup(&self, outs: Vec<MapTaskOut>, metrics: &mut JobMetrics) -> Vec<Vec<Vec<u8>>> {
@@ -1063,9 +923,16 @@ impl Engine {
     }
 }
 
+/// Wall nanoseconds of the slowest task of one executor run: the
+/// straggler that bounds the phase barrier.
+pub(crate) fn slowest(stats: &[WorkerStats]) -> u64 {
+    stats.iter().map(|s| s.max_task_nanos).max().unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Distributed word count: the "hello world" of the model.
     #[test]

@@ -21,7 +21,8 @@
 //!
 //! The engine is deliberately faithful to the cost model rather than to any
 //! particular cluster API: communication really passes through byte buffers,
-//! workers really run in parallel (scoped threads), and per-phase wall times
+//! workers really run in parallel (on the workspace's one task executor,
+//! [`desq_core::sched`]), and per-phase wall times
 //! and per-reducer byte volumes are recorded in [`JobMetrics`] — including
 //! the task/steal counters of the work-stealing reduce phase
 //! ([`JobMetrics::reduce_tasks`] / [`JobMetrics::reduce_steals`]). See

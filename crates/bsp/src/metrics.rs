@@ -22,7 +22,7 @@ pub struct JobMetrics {
     pub reducer_bytes: Vec<u64>,
     /// Records produced by reducers.
     pub output_records: u64,
-    /// Key-group tasks executed by the work-stealing reduce scheduler
+    /// Key-group tasks the reduce phase ran on the task executor
     /// (0 for job shapes that still reduce one whole bucket per task).
     pub reduce_tasks: u64,
     /// Successful task steals between reduce workers (0 when every worker

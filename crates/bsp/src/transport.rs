@@ -4,10 +4,10 @@
 //! [`ShuffleTransport`] abstracts exactly the byte-space boundary of the
 //! engine: map tasks produce [`MapTaskOut`] (already-encoded bucket
 //! chunks), reduce tasks turn a bucket's chunks into encoded outputs.
-//! [`InProcess`] runs them on the engine's own thread pool — the default,
-//! with zero overhead over the classic single-process path. A
-//! [`NetCoordinator`] farms the *same* tasks out to worker processes over
-//! TCP, turning the engine into the driver of a small cluster.
+//! [`InProcess`], the default, runs them on the engine's executor in this
+//! process. A [`NetCoordinator`] farms the *same* tasks out to worker
+//! processes over TCP, turning the engine into the driver of a small
+//! cluster.
 //!
 //! # Wire protocol
 //!
@@ -62,10 +62,11 @@ use desq_core::codec::{read_bytes, read_u8, read_varint, write_bytes, write_vari
 use desq_core::frame::{decode_error, encode_error, frame_bytes, read_frame};
 use desq_core::mining::panic_message;
 use desq_core::retry::RetryPolicy;
+use desq_core::sched::WorkerStats;
 use desq_core::{Error, Result};
 use parking_lot::Mutex;
 
-use crate::engine::{Engine, MapTaskOut};
+use crate::engine::{slowest, Engine, MapTaskOut};
 
 /// Version byte of the shuffle wire protocol. Bump on any frame layout
 /// change; the coordinator rejects mismatched workers at the handshake.
@@ -121,8 +122,12 @@ pub type ReduceTaskFn<'a> = dyn Fn(usize, &[Vec<u8>]) -> Result<Vec<u8>> + Sync 
 /// The worker-side reduce handler: a task id plus its shipped chunks.
 pub(crate) type WorkerReduceFn<'a> = dyn Fn(u64, &[Vec<u8>]) -> Result<Vec<u8>> + 'a;
 
-/// The default transport: tasks run on the engine's own worker threads,
-/// bytes never leave the process. Zero overhead over the classic path.
+/// The default transport: bytes never leave the process, and each phase
+/// runs its tasks on the engine's executor ([`desq_core::sched`]) — one
+/// task per map partition, then one task per reduce bucket. Unlike
+/// [`Engine::map_combine_reduce_with`], the reduce state is built fresh per
+/// bucket and a hot key group is not balanced across workers: a bucket is
+/// the unit of work, as it is for a networked worker.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcess;
 
@@ -133,15 +138,10 @@ impl ShuffleTransport for InProcess {
         tasks: usize,
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
-        let max = AtomicU64::new(0);
-        let outs = engine.run_tasks(tasks, local, &max)?;
-        Ok((
-            outs,
-            PhaseStats {
-                max_task_nanos: max.into_inner(),
-                ..PhaseStats::default()
-            },
-        ))
+        let (outs, stats) = engine
+            .executor()
+            .run_indexed(tasks, || (), |(), t| local(t))?;
+        Ok((outs, in_process_stats(&stats)))
     }
 
     fn reduce_phase(
@@ -150,15 +150,20 @@ impl ShuffleTransport for InProcess {
         chunks: Vec<Vec<Vec<u8>>>,
         local: &ReduceTaskFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
-        let max = AtomicU64::new(0);
-        let outs = engine.run_tasks(chunks.len(), |b| local(b, &chunks[b]), &max)?;
-        Ok((
-            outs,
-            PhaseStats {
-                max_task_nanos: max.into_inner(),
-                ..PhaseStats::default()
-            },
-        ))
+        let (outs, stats) =
+            engine
+                .executor()
+                .run_indexed(chunks.len(), || (), |(), b| local(b, &chunks[b]))?;
+        Ok((outs, in_process_stats(&stats)))
+    }
+}
+
+/// An in-process phase retries nothing and loses no peer; only its
+/// straggler counts.
+fn in_process_stats(stats: &[WorkerStats]) -> PhaseStats {
+    PhaseStats {
+        max_task_nanos: slowest(stats),
+        ..PhaseStats::default()
     }
 }
 
@@ -358,8 +363,7 @@ impl Frame {
 /// the chaos suite murders a worker).
 fn send_wire<W: Write>(w: &mut W, wire: &[u8]) -> io::Result<()> {
     #[cfg(feature = "failpoints")]
-    desq_core::fault::point("net::send_frame")
-        .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))?;
+    desq_core::fault::point("net::send_frame").map_err(|e| io::Error::other(e.to_string()))?;
     w.write_all(wire)?;
     w.flush()
 }

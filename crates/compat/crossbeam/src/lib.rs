@@ -1,13 +1,12 @@
-//! Offline shim for the `crossbeam::thread` scoped-threads API and the
-//! `crossbeam::deque` work-stealing primitives this workspace uses.
+//! Offline shim for the `crossbeam::deque` work-stealing primitives this
+//! workspace uses (scoped threads come from `std::thread::scope`).
 //!
-//! * [`thread`] is implemented over `std::thread::scope` (stable since Rust
-//!   1.63, which post-dates crossbeam's scoped threads).
-//! * [`deque`] mirrors `crossbeam-deque`'s `Worker`/`Stealer`/`Injector`
-//!   surface over a `Mutex<VecDeque>`. The real crate's lock-free Chase-Lev
-//!   deque matters at sub-microsecond task granularity; the mining scheduler
-//!   built on top hands out whole search-subtree tasks (milliseconds each),
-//!   where a mutex per pop is noise.
+//! [`deque`] mirrors `crossbeam-deque`'s `Worker`/`Stealer`/`Injector`
+//! surface over a `Mutex<VecDeque>`. The real crate's lock-free Chase-Lev
+//! deque matters at sub-microsecond task granularity; the task executor
+//! built on top (`desq_core::sched`) hands out whole tasks (search
+//! subtrees, input blocks, BSP partitions), where a mutex per pop is
+//! noise.
 
 pub mod deque {
     //! Work-stealing deques: each worker owns a [`Worker`] end (LIFO push and
@@ -48,7 +47,7 @@ pub mod deque {
 
     impl<T> Worker<T> {
         /// Creates a new LIFO worker queue (the only flavor the mining
-        /// scheduler uses; crossbeam's FIFO flavor is not mirrored).
+        /// executor uses; crossbeam's FIFO flavor is not mirrored).
         pub fn new_lifo() -> Worker<T> {
             Worker {
                 shared: Arc::new(Mutex::new(VecDeque::new())),
@@ -107,7 +106,7 @@ pub mod deque {
 
         /// Steals a batch of up to half the victim's tasks into `dest`, then
         /// pops one of them for immediate execution — the
-        /// `steal_batch_and_pop` operation the scheduler drives. The first
+        /// `steal_batch_and_pop` operation the executor drives. The first
         /// stolen task (oldest, closest to the victim's root) is returned;
         /// the rest land in `dest`.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
@@ -184,43 +183,8 @@ pub mod deque {
     }
 }
 
-pub mod thread {
-    //! Scoped threads: spawn borrows-allowed worker threads that are joined
-    //! before the scope returns.
-
-    /// Handle passed to [`scope`] closures for spawning scoped threads.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread. The closure receives a unit token in
-        /// place of crossbeam's nested-scope handle (the workspace never
-        /// spawns nested scoped threads).
-        pub fn spawn<F, T>(&self, f: F)
-        where
-            F: FnOnce(()) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            self.inner.spawn(move || f(()));
-        }
-    }
-
-    /// Runs `f` with a [`Scope`]; all spawned threads are joined before this
-    /// function returns. A panicking worker propagates its panic (callers in
-    /// this workspace `expect()` the result either way).
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     use super::deque::{Injector, Steal, Worker};
 
     #[test]
@@ -274,17 +238,5 @@ mod tests {
         assert_eq!(inj.steal_batch_and_pop(&w).success(), Some(0));
         assert_eq!(w.len(), 2); // ceil(5/2)=3 stolen, one popped
         assert!(!inj.is_empty());
-    }
-
-    #[test]
-    fn scoped_threads_join_and_borrow() {
-        let counter = AtomicUsize::new(0);
-        super::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|_| counter.fetch_add(1, Ordering::Relaxed));
-            }
-        })
-        .unwrap();
-        assert_eq!(counter.into_inner(), 8);
     }
 }

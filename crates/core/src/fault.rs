@@ -11,8 +11,8 @@
 //!
 //! | site                 | layer                  | fires inside |
 //! |----------------------|------------------------|--------------|
-//! | `sched::task_run`    | work-stealing scheduler| every task body (panic is caught at the task boundary) |
-//! | `bsp::reduce_merge`  | BSP engine             | every reduce task |
+//! | `sched::task_run`    | task executor          | every executor task, before its body: DFS subtrees, DESQ-COUNT blocks, table-build blocks, BSP map/merge/reduce tasks (a panic is contained by the executor, an error is the run's error) |
+//! | `bsp::reduce_merge`  | BSP engine             | every in-process and networked reduce task, before its bucket merge |
 //! | `serve::before_reply`| daemon                 | between mining and the terminal frame |
 //! | `store::compile`     | FST cache              | under a cache miss, before compilation |
 //! | `net::send_frame`    | shuffle transport      | before every frame write on a shuffle link (both ends) |

@@ -59,6 +59,7 @@ pub mod fx;
 pub mod mining;
 pub mod pexp;
 pub mod retry;
+pub mod sched;
 pub mod sequence;
 pub mod toy;
 

@@ -130,9 +130,9 @@ struct CancelInner {
 ///
 /// A token is a cheap [`Arc`]-backed handle: the session (or the serving
 /// layer) creates one, threads it through [`MiningContext::cancel`], and
-/// every execution layer — the work-stealing scheduler, the BSP engine's
-/// map/combine/reduce phases, the streaming sink — polls it at task
-/// granularity. Three things trip a token:
+/// every execution layer — the task executor ([`crate::sched`]), which
+/// runs the local miners and the BSP engine's phases, and the streaming
+/// sink — polls it at task granularity. Three things trip a token:
 ///
 /// * [`cancel`](Self::cancel) — an external abort (client disconnected,
 ///   server draining);
@@ -478,11 +478,12 @@ pub struct MiningMetrics {
     /// silently empty). Only algorithms with no per-worker breakdown at
     /// all (e.g. pure BSP map/reduce phases) leave it empty.
     pub worker_nanos: Vec<u64>,
-    /// Tasks executed by the work-stealing local-mining scheduler, summed
-    /// over workers (a sequential run is one task; 0 when the algorithm
-    /// does not use the scheduler).
+    /// Tasks executed by the task executor ([`crate::sched`]), summed
+    /// over workers (a sequential run is one task, as is one-worker
+    /// DESQ-DFS; DESQ-COUNT runs one per block of input sequences; 0 when
+    /// the algorithm does not use the executor).
     pub tasks: u64,
-    /// Successful steals between scheduler workers, summed over workers
+    /// Successful steals between executor workers, summed over workers
     /// (always 0 for sequential runs; high values on skewed search trees
     /// are the scheduler doing its job).
     pub steals: u64,

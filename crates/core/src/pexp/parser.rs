@@ -11,7 +11,8 @@
 //!
 //! Nesting — groups open at once, and the height of the parsed tree
 //! counted in capture groups and postfix operators — is capped at
-//! [`MAX_NESTING`] levels.
+//! [`MAX_NESTING`] levels, and counted repetition at [`MAX_REPEAT`]
+//! copies along any path.
 
 use super::lexer::{Lexer, Token};
 use super::PatEx;
@@ -27,6 +28,16 @@ use crate::error::{Error, Result};
 /// on a path is the body of a distinct enclosing group (or the whole
 /// expression), so the tree is at most about three times this deep.
 pub const MAX_NESTING: usize = 256;
+
+/// Most copies of a fragment that counted repetition may ask for: the
+/// product of the copy counts of the `{n,m}` operators (`max(n, m)` for
+/// `{n,m}`, `n` for `{n,}`) on any root-to-leaf path of the tree.
+/// Compilation unrolls one copy of the inner fragment per repetition,
+/// before any budget or deadline applies, so without a cap `a{4000000000}`
+/// or `((a1|b){1,200}){1,200}` would build billions or tens of thousands
+/// of copies from a dozen bytes. Every constraint of the paper stays far
+/// below the cap (the largest product in Tab. III is 16).
+pub const MAX_REPEAT: usize = 256;
 
 pub(super) fn parse(input: &str) -> Result<PatEx> {
     let tokens = Lexer::new(input).tokenize()?;
@@ -46,13 +57,51 @@ pub(super) fn parse(input: &str) -> Result<PatEx> {
     Ok(e)
 }
 
-/// Height of a subtree wrapped by the capture group or operator at byte
-/// `at`.
-fn wrap(height: usize, at: usize) -> Result<usize> {
-    if height == MAX_NESTING {
-        return Err(too_deep(at));
+/// What the parser bounds about a subtree: its height (see
+/// [`MAX_NESTING`]) and the largest product of repetition copy counts on
+/// any of its root-to-leaf paths (see [`MAX_REPEAT`]).
+#[derive(Debug, Clone, Copy)]
+struct Size {
+    height: usize,
+    copies: usize,
+}
+
+impl Size {
+    const LEAF: Size = Size {
+        height: 0,
+        copies: 1,
+    };
+
+    /// The bound of siblings: the worse of each.
+    fn max(self, other: Size) -> Size {
+        Size {
+            height: self.height.max(other.height),
+            copies: self.copies.max(other.copies),
+        }
     }
-    Ok(height + 1)
+
+    /// The subtree wrapped by the capture group or operator at byte `at`.
+    fn wrap(self, at: usize) -> Result<Size> {
+        if self.height == MAX_NESTING {
+            return Err(too_deep(at));
+        }
+        Ok(Size {
+            height: self.height + 1,
+            ..self
+        })
+    }
+
+    /// The subtree unrolled `n` times by the repetition at byte `at`.
+    fn repeat(self, n: u32, at: usize) -> Result<Size> {
+        let copies = self.copies.saturating_mul(n.max(1) as usize);
+        if copies > MAX_REPEAT {
+            return Err(Error::Parse {
+                msg: format!("counted repetition makes more than {MAX_REPEAT} copies"),
+                pos: at,
+            });
+        }
+        Ok(Size { copies, ..self })
+    }
 }
 
 fn too_deep(at: usize) -> Error {
@@ -62,8 +111,7 @@ fn too_deep(at: usize) -> Error {
     }
 }
 
-/// Each parsing method returns its subtree with the subtree's height
-/// (see [`MAX_NESTING`]).
+/// Each parsing method returns its subtree with the subtree's [`Size`].
 struct Parser {
     tokens: Vec<(Token, usize)>,
     pos: usize,
@@ -111,37 +159,37 @@ impl Parser {
         }
     }
 
-    fn alt(&mut self) -> Result<(PatEx, usize)> {
-        let (first, mut height) = self.concat()?;
+    fn alt(&mut self) -> Result<(PatEx, Size)> {
+        let (first, mut size) = self.concat()?;
         let mut branches = vec![first];
         while matches!(self.peek(), Some(Token::Pipe)) {
             self.bump();
-            let (b, h) = self.concat()?;
+            let (b, bs) = self.concat()?;
             branches.push(b);
-            height = height.max(h);
+            size = size.max(bs);
         }
         let e = if branches.len() == 1 {
             branches.pop().unwrap()
         } else {
             PatEx::Alt(branches)
         };
-        Ok((e, height))
+        Ok((e, size))
     }
 
-    fn concat(&mut self) -> Result<(PatEx, usize)> {
-        let (first, mut height) = self.postfix()?;
+    fn concat(&mut self) -> Result<(PatEx, Size)> {
+        let (first, mut size) = self.postfix()?;
         let mut factors = vec![first];
         while self.starts_primary() {
-            let (f, h) = self.postfix()?;
+            let (f, fs) = self.postfix()?;
             factors.push(f);
-            height = height.max(h);
+            size = size.max(fs);
         }
         let e = if factors.len() == 1 {
             factors.pop().unwrap()
         } else {
             PatEx::Concat(factors)
         };
-        Ok((e, height))
+        Ok((e, size))
     }
 
     fn starts_primary(&self) -> bool {
@@ -151,8 +199,8 @@ impl Parser {
         )
     }
 
-    fn postfix(&mut self) -> Result<(PatEx, usize)> {
-        let (mut e, mut height) = self.primary()?;
+    fn postfix(&mut self) -> Result<(PatEx, Size)> {
+        let (mut e, mut size) = self.primary()?;
         loop {
             let at = self.here();
             e = match self.peek() {
@@ -171,6 +219,7 @@ impl Parser {
                 Some(Token::LBrace) => {
                     self.bump();
                     let (min, max) = self.bounds(at)?;
+                    size = size.repeat(max.unwrap_or(min), at)?;
                     PatEx::Range {
                         inner: Box::new(e),
                         min,
@@ -179,9 +228,9 @@ impl Parser {
                 }
                 _ => break,
             };
-            height = wrap(height, at)?;
+            size = size.wrap(at)?;
         }
-        Ok((e, height))
+        Ok((e, size))
     }
 
     /// Parses `n`, `n,`, `n,m` or `,m` followed by `}`.
@@ -236,7 +285,7 @@ impl Parser {
         Ok((min, max))
     }
 
-    fn primary(&mut self) -> Result<(PatEx, usize)> {
+    fn primary(&mut self) -> Result<(PatEx, Size)> {
         let at = self.here();
         match self.bump() {
             Some(Token::Dot) => {
@@ -247,16 +296,16 @@ impl Parser {
                         pos: at,
                     });
                 }
-                Ok((PatEx::Dot { up }, 0))
+                Ok((PatEx::Dot { up }, Size::LEAF))
             }
             Some(Token::Ident(name)) => {
                 let up = self.eat_up();
                 let exact = self.eat_eq();
-                Ok((PatEx::Item { name, exact, up }, 0))
+                Ok((PatEx::Item { name, exact, up }, Size::LEAF))
             }
             Some(Token::LParen) => {
-                let (inner, height) = self.group(at, &Token::RParen)?;
-                Ok((PatEx::Capture(Box::new(inner)), wrap(height, at)?))
+                let (inner, size) = self.group(at, &Token::RParen)?;
+                Ok((PatEx::Capture(Box::new(inner)), size.wrap(at)?))
             }
             Some(Token::LBracket) => self.group(at, &Token::RBracket),
             other => Err(Error::Parse {
@@ -267,15 +316,15 @@ impl Parser {
     }
 
     /// Parses the body of the group opened at byte `at` up to `close`.
-    fn group(&mut self, at: usize, close: &Token) -> Result<(PatEx, usize)> {
+    fn group(&mut self, at: usize, close: &Token) -> Result<(PatEx, Size)> {
         if self.open == MAX_NESTING {
             return Err(too_deep(at));
         }
         self.open += 1;
-        let (inner, height) = self.alt()?;
+        let (inner, size) = self.alt()?;
         self.expect(close)?;
         self.open -= 1;
-        Ok((inner, height))
+        Ok((inner, size))
     }
 
     fn eat_up(&mut self) -> bool {
@@ -300,7 +349,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::super::PatEx;
-    use super::MAX_NESTING;
+    use super::{MAX_NESTING, MAX_REPEAT};
     use crate::Error;
 
     #[test]
@@ -459,5 +508,38 @@ mod tests {
         // Siblings do not add up.
         let siblings = format!("{at_limit} {at_limit}");
         assert!(PatEx::parse(&siblings).is_ok());
+    }
+
+    /// Counted-repetition bombs are a parse error at their `{` before any
+    /// copy is compiled; shapes up to the cap parse (and compile).
+    #[test]
+    fn counted_repetition_is_capped_along_each_path() {
+        for (bomb, at) in [
+            ("a{4000000000}", 1),
+            ("(a1|b){1,20000}", 6),
+            ("((a1|b){1,200}){1,200}", 15),
+            ("[a{16}]{17}", 7),
+            ("[a{0,16}]{17,}", 9),
+        ] {
+            match PatEx::parse(bomb).unwrap_err() {
+                Error::Parse { pos, msg } => {
+                    assert_eq!(pos, at, "{bomb}: {msg}");
+                    assert!(msg.contains("repetition"), "{bomb}: {msg}");
+                }
+                other => panic!("{bomb}: unexpected {other:?}"),
+            }
+        }
+        let fx = crate::toy::fixture();
+        for ok in [
+            format!("(a1|b){{1,{MAX_REPEAT}}}"),
+            format!("[a1{{{MAX_REPEAT},}}]*"),
+            "[a1{16}]{16}".to_string(),
+            "[a1{0}]{256}".to_string(),
+            // Siblings do not multiply.
+            "a1{200} b{200} [a1|b]{200}".to_string(),
+        ] {
+            let e = PatEx::parse(&ok).unwrap_or_else(|err| panic!("{ok}: {err}"));
+            crate::fst::Fst::compile(&e, &fx.dict).unwrap();
+        }
     }
 }

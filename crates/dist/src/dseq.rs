@@ -157,7 +157,7 @@ fn d_seq_exec(
     // pivot-independent simulation cores, keyed by the identity of the
     // borrowed payload slice (payloads borrow from the shuffle buffers,
     // stable for the whole reduce phase, so the cache stays valid across
-    // the work-stealing scheduler's per-pivot tasks). A sequence shipped
+    // the executor's per-pivot tasks). A sequence shipped
     // to many pivot partitions mined by one worker is decoded and
     // core-built once; each pivot only rebuilds the pivot-dependent
     // output arenas.

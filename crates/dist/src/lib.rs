@@ -28,7 +28,7 @@
 //! serialization for shuffle accounting, and [`patterns`] is the constraint
 //! library of Tab. III. `docs/ARCHITECTURE.md` in the repository root
 //! traces the end-to-end data flow of each algorithm through the flat
-//! substrate and the work-stealing schedulers.
+//! substrate and the task executor.
 
 pub mod algo;
 pub mod dcand;

@@ -236,4 +236,23 @@ mod tests {
         let names: Vec<String> = amzn_constraints().into_iter().map(|c| c.name).collect();
         assert_eq!(names, ["A1", "A2", "A3", "A4"]);
     }
+
+    #[test]
+    fn every_constraint_stays_below_the_repetition_cap() {
+        // The parser caps counted repetition at 256 copies along a path;
+        // the library's largest product (T2/T3 with γ = 2, λ = 6) is 10.
+        let mut all = nyt_constraints();
+        all.extend(amzn_constraints());
+        all.extend([t1(5), t2(1, 5), t3(1, 5), t2(2, 6), t3(2, 6)]);
+        all.push(Constraint::new("cap", "(a1|b){1,256}"));
+        let fx = toy::fixture();
+        for c in all {
+            let e = desq_core::PatEx::parse(&c.expr);
+            assert!(e.is_ok(), "{}: {e:?}", c.name);
+        }
+        assert!(Constraint::new("cap", "(a1|b){1,256}")
+            .compile(&fx.dict)
+            .is_ok());
+        assert!(desq_core::PatEx::parse("(a1|b){1,257}").is_err());
+    }
 }

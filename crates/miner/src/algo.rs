@@ -15,7 +15,7 @@ use desq_core::{Error, Fst, Result};
 
 use crate::desq_count::desq_count_within;
 use crate::desq_dfs::{LocalMiner, MinerConfig, WeightedInput};
-use crate::sched::WorkerStats;
+use desq_core::sched::WorkerStats;
 
 /// Weighted inputs (weight 1 per database sequence) for the pattern-growth
 /// miners — borrowed straight from the context's database.
@@ -135,8 +135,8 @@ fn mine_counting(
 
 /// DESQ-DFS: pattern growth over projected databases (Fig. 6).
 ///
-/// Honors `ctx.workers` through the work-stealing scheduler in
-/// [`crate::sched`] (search-subtree tasks, steal-half balancing);
+/// Honors `ctx.workers` through the task executor of
+/// [`desq_core::sched`] (search-subtree tasks, steal-half balancing);
 /// per-worker wall times and the task/steal counters land in
 /// [`MiningMetrics`]. Honors `ctx.exec`: under
 /// [`ExecutionPolicy::Auto`] a sampling cost model (a probe of strided

@@ -18,26 +18,24 @@
 //! `candidates::generate` oracle remains the documented reference the flat
 //! path is property-tested against.
 //!
-//! Parallel enumeration runs on the same work-stealing scheduler as
-//! DESQ-DFS ([`crate::sched`]): the database is cut into small
-//! input-sequence blocks that seed the task pool, so a block of expensive
-//! sequences no longer pins one statically-assigned worker while the
-//! others idle.
+//! Enumeration runs on the same task executor as DESQ-DFS
+//! ([`desq_core::sched`]): the database is cut into small input-sequence
+//! blocks that seed the task pool, so a block of expensive sequences no
+//! longer pins one statically-assigned worker while the others idle. At
+//! one worker the blocks run inline, in order, on the calling thread.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::mining::CancelToken;
+use desq_core::sched::{Executor, WorkerStats};
 use desq_core::{mining, Dictionary, Error, Fst, Result, Sequence, SequenceDb};
-
-use crate::sched::{self, WorkerStats};
 
 /// Result of one counting run: sorted patterns, total candidate
 /// occurrences counted (the work metric), and per-worker scheduler stats.
 type CountOutcome = (Vec<(Sequence, u64)>, u64, Vec<WorkerStats>);
 
-/// Sequences per scheduler task: small enough that stealing balances a
+/// Sequences per executor task: small enough that stealing balances a
 /// skewed database, large enough that the per-task overhead (one deque
 /// round trip) stays invisible next to candidate enumeration.
 const COUNT_BLOCK: usize = 64;
@@ -115,7 +113,6 @@ pub(crate) fn desq_count_within(
     cancel: Option<&CancelToken>,
 ) -> Result<CountOutcome> {
     mining::validate_sigma(sigma)?;
-    let workers = workers.max(1).min(db.sequences.len().max(1));
     let index = FstIndex::new(fst);
     let max_item = dict.last_frequent(sigma);
     let budget = allowance.map_or(budget, |a| {
@@ -138,74 +135,32 @@ pub(crate) fn desq_count_within(
         }
     };
 
-    let (counter, stats) = if workers == 1 {
-        let t0 = std::time::Instant::now();
-        let walker = RunWalker::new(fst, dict, &index, max_item);
-        let mut scratch = RunScratch::default();
-        let mut counter = CandidateCounter::new();
-        for seq in &db.sequences {
-            if let Some(token) = cancel {
-                token.checkpoint()?;
-            }
-            count_one(&walker, seq, &mut scratch, &mut counter)?;
-        }
-        (
-            counter,
-            vec![WorkerStats::solo(t0.elapsed().as_nanos() as u64, 1)],
-        )
-    } else {
-        // Blocks of sequences seed the scheduler; workers only push their
-        // owned partial (or the first error) under a lock at the end — no
-        // lock is held while counting or merging.
-        let n = db.sequences.len();
-        let block = COUNT_BLOCK.min(n.div_ceil(workers).max(1));
-        let seed: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(block)
-            .map(|s| s..(s + block).min(n))
-            .collect();
-        let states: Vec<_> = (0..workers)
-            .map(|_| {
-                (
-                    RunWalker::new(fst, dict, &index, max_item),
-                    RunScratch::default(),
-                    CandidateCounter::new(),
-                )
-            })
-            .collect();
-        let local_cancel = AtomicBool::new(false);
-        let partials: Mutex<Vec<(usize, CandidateCounter)>> = Mutex::new(Vec::new());
-        let failure: Mutex<Option<Error>> = Mutex::new(None);
-        let (stats, ()) = sched::run_scheduler(
-            seed,
-            states,
-            &local_cancel,
-            cancel,
-            |range, (walker, scratch, counter), _ctx| {
-                for seq in &db.sequences[range] {
-                    if let Err(e) = count_one(walker, seq, scratch, counter) {
-                        let mut f = failure.lock().unwrap();
-                        if f.is_none() {
-                            *f = Some(e);
-                        }
-                        local_cancel.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            },
-            |wid, (_, _, counter)| partials.lock().unwrap().push((wid, counter)),
-            || (),
-        )?;
-        if let Some(e) = failure.into_inner().unwrap() {
-            return Err(e);
-        }
-        let mut partials = partials.into_inner().unwrap();
-        partials.sort_by_key(|&(wid, _)| wid);
-        let mut merged = CandidateCounter::new();
-        for (_, partial) in &partials {
-            merged.merge(partial);
-        }
-        (merged, stats)
-    };
+    // Blocks of sequences seed the executor; each worker counts into its
+    // own partial, and the partials merge on the calling thread in worker
+    // order — no lock is held while counting or merging.
+    let exec = Executor::new(workers.min(db.sequences.len().max(1)), cancel);
+    let n = db.sequences.len();
+    let block = COUNT_BLOCK.min(n.div_ceil(exec.workers()).max(1));
+    let seed: Vec<std::ops::Range<usize>> = (0..n)
+        .step_by(block)
+        .map(|s| s..(s + block).min(n))
+        .collect();
+    let (partials, stats) = exec.run(
+        seed,
+        || {
+            let walker = RunWalker::new(fst, dict, &index, max_item);
+            (walker, RunScratch::default(), CandidateCounter::new())
+        },
+        |range, (walker, scratch, counter), _| {
+            db.sequences[range]
+                .iter()
+                .try_for_each(|seq| count_one(walker, seq, scratch, counter))
+        },
+        |(_, _, counter)| counter,
+    )?;
+    let mut partials = partials.into_iter();
+    let mut counter = partials.next().unwrap_or_else(CandidateCounter::new);
+    partials.for_each(|partial| counter.merge(&partial));
     let work = counter.observed();
     let out = counter.patterns(sigma);
     Ok((crate::sort_patterns(out), work, stats))

@@ -198,6 +198,30 @@ fn hostile_nesting_gets_an_error_frame_and_the_daemon_keeps_serving() {
     handle.shutdown();
 }
 
+/// Counted repetition unrolls one copy of its fragment per repetition
+/// before any budget or deadline applies: `a1{4000000000}` is 14 bytes
+/// that would ask for four billion copies. Each bomb is answered with a
+/// parse error, and the daemon keeps serving.
+#[test]
+fn counted_repetition_bombs_get_an_error_frame_and_the_daemon_keeps_serving() {
+    let handle = toy_server(ServeLimits::default());
+    let client = Client::new(handle.addr());
+    for pexp in [
+        "a1{4000000000}",
+        "(a1|b){1,20000}",
+        "((a1|b){1,200}){1,200}",
+    ] {
+        let err = client.query(&Request::new("toy", pexp, 2)).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Remote(Error::Parse { ref msg, .. }) if msg.contains("repetition")),
+            "{pexp}: expected Remote(Parse), got {err}"
+        );
+        let next = client.query(&Request::new("toy", toy::PATTERN, 2)).unwrap();
+        assert_eq!(next.patterns.len(), 3);
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn admission_rejects_bad_requests_before_mining() {
     let handle = toy_server(ServeLimits {
